@@ -15,8 +15,11 @@
  * reduced precision — the accuracy cost of the compressed storage,
  * which DESIGN.md §7 (bf16) and §10 (int8) bound analytically.
  *
- * Emits BENCH_precision.json (path overridable via the
- * MNNFAST_BENCH_JSON environment variable) for tracking.
+ * Writes its JSON only to the explicit path in the MNNFAST_BENCH_JSON
+ * environment variable (e.g. MNNFAST_BENCH_JSON=BENCH_precision.json
+ * to refresh the committed file) and exits 2 without one, so a run
+ * from the repo root never overwrites the committed results by
+ * accident.
  */
 
 #include <algorithm>
@@ -110,6 +113,13 @@ maxDeviation(const std::vector<float> &ref, const std::vector<float> &o)
 int
 main()
 {
+    const char *json_path = std::getenv("MNNFAST_BENCH_JSON");
+    if (!json_path || json_path[0] == '\0') {
+        std::fprintf(stderr, "usage: MNNFAST_BENCH_JSON=<path> "
+                             "ablation_precision\n");
+        return 2;
+    }
+
     bench::banner("Ablation: knowledge-base storage precision",
                   "fp32 vs bf16 (half the bytes) vs int8 (a quarter), "
                   "per engine and geometry, with the answer-score "
@@ -128,9 +138,6 @@ main()
         {"mnnfast", true, 1e-4f},
     };
 
-    const char *json_path = std::getenv("MNNFAST_BENCH_JSON");
-    if (!json_path)
-        json_path = "BENCH_precision.json";
     FILE *json = std::fopen(json_path, "w");
     if (!json) {
         std::fprintf(stderr, "cannot open %s for writing\n", json_path);

@@ -32,6 +32,7 @@ scalarTable()
         scalar::weightedSumSkip,               scalar::weightedSumSkipMulti,
         scalar::dotBatchMultiBf16,             scalar::weightedSumSkipMultiBf16,
         scalar::dotBatchMultiI8,               scalar::weightedSumSkipMultiI8,
+        scalar::finiteRangeI8,                 scalar::quantizeI8,
         scalar::chunkBoundBatch,
         scalar::gemm,    scalar::expInplace,   scalar::expShiftInplace,
     };
@@ -232,6 +233,19 @@ weightedSumSkipMultiI8(const float *e, size_t ne, size_t estride,
             scale, zero, threshold, running_sums + q0,
             acc + q0 * accstride, accstride, kept, skipped);
     }
+}
+
+bool
+finiteRangeI8(const float *x, size_t n, float &lo, float &hi)
+{
+    mnn_assert(n > 0, "finiteRangeI8 of empty vector");
+    return active().finiteRangeI8(x, n, lo, hi);
+}
+
+void
+quantizeI8(const float *x, size_t n, float scale, float zero, int8_t *q)
+{
+    active().quantizeI8(x, n, scale, zero, q);
 }
 
 void

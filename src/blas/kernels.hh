@@ -236,6 +236,36 @@ void weightedSumSkipMultiI8(const float *e, size_t ne, size_t estride,
                             uint64_t &kept, uint64_t &skipped);
 
 /**
+ * Fused finite check and range scan over n > 0 fp32 elements (the
+ * int8 ingest's range kernel, core::KnowledgeBase): returns false if
+ * any element is NaN or +-inf (lo/hi are then unspecified); otherwise
+ * sets lo/hi to the smallest and largest element and returns true.
+ *
+ * Canonical order (as the other i8 kernels): eight lanes over the
+ * 8-aligned body, each keeping (x < lo) ? x : lo and (x > hi) ? x : hi
+ * (vminps/vmaxps operand semantics), the fixed pairwise lane
+ * reduction, then a scalar tail — so scalar and AVX2 are
+ * **bit-identical** down to the sign of a zero extremum.
+ */
+bool finiteRangeI8(const float *x, size_t n, float &lo, float &hi);
+
+/**
+ * Affine int8 quantization (the int8 ingest's encode kernel): for
+ * i in [0, n),
+ *
+ *   q[i] = clamp(lrintf((x[i] - zero) * (1 / scale)), -128, 127)
+ *
+ * rounding half to even under the default FP environment, and
+ * q[i] = 0 everywhere when scale == 0 (a constant chunk). An
+ * lrintf overflow (NaN, +-inf, |v| >= 2^63) yields LONG_MIN and so
+ * clamps to -128; the AVX2 backend replays that too, so scalar and
+ * AVX2 are **bit-identical** for every input. Elementwise, so a
+ * contiguous block of rows quantizes in one call.
+ */
+void quantizeI8(const float *x, size_t n, float scale, float zero,
+                int8_t *q);
+
+/**
  * Fused max-inner-product bound over chunk-summary envelopes (the
  * routed engine's coarse-selection kernel): for a tile of `nx` query
  * rows and `count` per-dimension [lo, hi] envelope pairs,
@@ -382,6 +412,9 @@ void weightedSumSkipMultiI8(const float *e, size_t ne, size_t estride,
                             float threshold, double *running_sums,
                             float *acc, size_t accstride,
                             uint64_t &kept, uint64_t &skipped);
+bool finiteRangeI8(const float *x, size_t n, float &lo, float &hi);
+void quantizeI8(const float *x, size_t n, float scale, float zero,
+                int8_t *q);
 void chunkBoundBatch(const float *x, size_t nx, size_t xstride,
                      const float *lo, const float *hi, size_t count,
                      size_t n, size_t stride, float *out,

@@ -989,6 +989,91 @@ weightedSumSkipMultiI8Avx2(const float *e, size_t ne, size_t estride,
 }
 
 /**
+ * Canonical fused finite check + range scan (see kernels.hh): eight
+ * lanes of vminps(x, lo) / vmaxps(x, hi), the pairwise 128-bit-half
+ * reduction below, scalar tail — the scalar backend replays each
+ * select. A lane is non-finite iff |x| is not below +inf (NaN
+ * compares unordered), accumulated as one mask.
+ */
+bool
+finiteRangeI8Avx2(const float *x, size_t n, float &lo, float &hi)
+{
+    const __m256 inf =
+        _mm256_set1_ps(std::numeric_limits<float>::infinity());
+    const __m256 absmask =
+        _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
+    __m256 l = inf;
+    __m256 h = _mm256_sub_ps(_mm256_setzero_ps(), inf);
+    __m256 bad = _mm256_setzero_ps();
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m256 v = _mm256_loadu_ps(x + i);
+        bad = _mm256_or_ps(bad, _mm256_cmp_ps(_mm256_and_ps(v, absmask),
+                                              inf, _CMP_NLT_UQ));
+        l = _mm256_min_ps(v, l);
+        h = _mm256_max_ps(v, h);
+    }
+    __m128 ml = _mm_min_ps(_mm256_castps256_ps128(l),
+                           _mm256_extractf128_ps(l, 1));
+    ml = _mm_min_ps(ml, _mm_movehl_ps(ml, ml));
+    ml = _mm_min_ss(ml, _mm_shuffle_ps(ml, ml, 0x55));
+    __m128 mh = _mm_max_ps(_mm256_castps256_ps128(h),
+                           _mm256_extractf128_ps(h, 1));
+    mh = _mm_max_ps(mh, _mm_movehl_ps(mh, mh));
+    mh = _mm_max_ss(mh, _mm_shuffle_ps(mh, mh, 0x55));
+    float rl = _mm_cvtss_f32(ml), rh = _mm_cvtss_f32(mh);
+    bool finite = _mm256_movemask_ps(bad) == 0;
+    for (; i < n; ++i) {
+        finite &= std::isfinite(x[i]);
+        rl = (x[i] < rl) ? x[i] : rl;
+        rh = (x[i] > rh) ? x[i] : rh;
+    }
+    lo = rl;
+    hi = rh;
+    return finite;
+}
+
+/**
+ * Affine int8 quantize (see kernels.hh). vcvtps2dq rounds under the
+ * MXCSR mode, the same one lrintf uses. Clamping in float before the
+ * conversion equals clamping lrintf's result, except where lrintf
+ * overflows (NaN, +-inf, |v| >= 2^63) and returns LONG_MIN: those
+ * lanes are forced to -128 explicitly, so every input matches the
+ * scalar backend, which also encodes the tail.
+ */
+void
+quantizeI8Avx2(const float *x, size_t n, float scale, float zero,
+               int8_t *q)
+{
+    if (scale == 0.f) { // constant chunk: every element equals zero
+        std::memset(q, 0, n);
+        return;
+    }
+    const __m256 vinv = _mm256_set1_ps(1.f / scale);
+    const __m256 vzero = _mm256_set1_ps(zero);
+    const __m256 qmin = _mm256_set1_ps(-128.f);
+    const __m256 qmax = _mm256_set1_ps(127.f);
+    const __m256 lmax = _mm256_set1_ps(0x1p63f);
+    const __m256 absmask =
+        _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m256 v = _mm256_mul_ps(
+            _mm256_sub_ps(_mm256_loadu_ps(x + i), vzero), vinv);
+        const __m256 inrange =
+            _mm256_cmp_ps(_mm256_and_ps(v, absmask), lmax, _CMP_LT_OQ);
+        const __m256 c = _mm256_blendv_ps(
+            qmin, _mm256_min_ps(_mm256_max_ps(v, qmin), qmax), inrange);
+        const __m256i w = _mm256_cvtps_epi32(c);
+        const __m128i w16 = _mm_packs_epi32(
+            _mm256_castsi256_si128(w), _mm256_extracti128_si256(w, 1));
+        _mm_storel_epi64(reinterpret_cast<__m128i *>(q + i),
+                         _mm_packs_epi16(w16, w16));
+    }
+    scalar::quantizeI8(x + i, n - i, scale, zero, q + i); // < 8 left
+}
+
+/**
  * Vector e^x, Cephes-style: split x = n*ln2 + r with |r| <= ln2/2,
  * evaluate a degree-6 polynomial for e^r, scale by 2^n through the
  * float exponent field. Inputs above 88.376 resolve to +inf and below
@@ -1252,6 +1337,7 @@ const KernelTable kAvx2Table = {
     weightedSumSkipAvx2,              weightedSumSkipMultiAvx2,
     dotBatchMultiBf16Avx2,            weightedSumSkipMultiBf16Avx2,
     dotBatchMultiI8Avx2,              weightedSumSkipMultiI8Avx2,
+    finiteRangeI8Avx2,                quantizeI8Avx2,
     chunkBoundBatchAvx2,
     gemmAvx2,       expInplaceAvx2,   expShiftInplaceAvx2,
 };

@@ -51,6 +51,8 @@ struct KernelTable
                                    size_t, float, float, float,
                                    double *, float *, size_t,
                                    uint64_t &, uint64_t &);
+    bool (*finiteRangeI8)(const float *, size_t, float &, float &);
+    void (*quantizeI8)(const float *, size_t, float, float, int8_t *);
     void (*chunkBoundBatch)(const float *, size_t, size_t,
                             const float *, const float *, size_t,
                             size_t, size_t, float *, size_t);

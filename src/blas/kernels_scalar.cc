@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "blas/kernels.hh"
 #include "util/bf16.hh"
@@ -297,6 +298,54 @@ weightedSumSkipMultiI8(const float *e, size_t ne, size_t estride,
                 dst[i] = std::fma(ev, ri, dst[i]);
             }
         }
+    }
+}
+
+bool
+finiteRangeI8(const float *x, size_t n, float &lo, float &hi)
+{
+    // Lane-for-lane replay of the AVX2 scan: vminps(x, lo) keeps
+    // (x < lo) ? x : lo, vmaxps(x, hi) keeps (x > hi) ? x : hi.
+    const auto mn = [](float a, float b) { return (a < b) ? a : b; };
+    const auto mx = [](float a, float b) { return (a > b) ? a : b; };
+    constexpr float inf = std::numeric_limits<float>::infinity();
+    float l[8] = {inf, inf, inf, inf, inf, inf, inf, inf};
+    float h[8] = {-inf, -inf, -inf, -inf, -inf, -inf, -inf, -inf};
+    bool finite = true;
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        for (size_t j = 0; j < 8; ++j) {
+            const float v = x[i + j];
+            finite &= std::isfinite(v);
+            l[j] = mn(v, l[j]);
+            h[j] = mx(v, h[j]);
+        }
+    }
+    float rl = mn(mn(mn(l[0], l[4]), mn(l[2], l[6])),
+                  mn(mn(l[1], l[5]), mn(l[3], l[7])));
+    float rh = mx(mx(mx(h[0], h[4]), mx(h[2], h[6])),
+                  mx(mx(h[1], h[5]), mx(h[3], h[7])));
+    for (; i < n; ++i) {
+        finite &= std::isfinite(x[i]);
+        rl = mn(x[i], rl);
+        rh = mx(x[i], rh);
+    }
+    lo = rl;
+    hi = rh;
+    return finite;
+}
+
+void
+quantizeI8(const float *x, size_t n, float scale, float zero, int8_t *q)
+{
+    if (scale == 0.f) { // constant chunk: every element equals zero
+        std::memset(q, 0, n);
+        return;
+    }
+    const float inv = 1.f / scale;
+    for (size_t i = 0; i < n; ++i) {
+        const long v = std::lrintf((x[i] - zero) * inv);
+        q[i] = static_cast<int8_t>(std::clamp<long>(v, -128, 127));
     }
 }
 

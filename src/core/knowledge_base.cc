@@ -1,38 +1,13 @@
 #include "core/knowledge_base.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
+#include "blas/kernels.hh"
 #include "util/bf16.hh"
 #include "util/logging.hh"
 
 namespace mnnfast::core {
-namespace {
-
-/**
- * Quantize n floats under the affine code x_hat = scale*q + zero.
- * Deterministic (round-to-nearest via lrintf under the default FP
- * environment, then clamped to the int8 range), and used for both the
- * single-row and the requantize-the-tail-chunk paths so their results
- * agree by construction.
- */
-void
-quantizeRow(const float *src, int8_t *dst, size_t n, float scale,
-            float zero)
-{
-    if (scale == 0.f) { // constant chunk: every element equals zero
-        std::memset(dst, 0, n);
-        return;
-    }
-    const float inv = 1.f / scale;
-    for (size_t e = 0; e < n; ++e) {
-        const long q = std::lrintf((src[e] - zero) * inv);
-        dst[e] = static_cast<int8_t>(std::clamp<long>(q, -128, 127));
-    }
-}
-
-} // namespace
 
 const char *
 precisionName(Precision p)
@@ -213,25 +188,25 @@ KnowledgeBase::addSentence(const float *min_row, const float *mout_row)
                           float &hi) {
             float *slot = staged.data() + k * ed;
             std::memcpy(slot, row, ed * sizeof(float));
-            const auto [plo, phi] =
-                std::minmax_element(row, row + ed);
-            if (!std::isfinite(*plo) || !std::isfinite(*phi))
+            float rlo, rhi;
+            if (!blas::finiteRangeI8(row, ed, rlo, rhi))
                 fatal("I8 knowledge bases require finite embeddings");
             int8_t *base = store.data() + (count - k) * ed;
-            if (k == 0 || *plo < lo || *phi > hi) {
-                lo = (k == 0) ? *plo : std::min(lo, *plo);
-                hi = (k == 0) ? *phi : std::max(hi, *phi);
+            if (k == 0 || rlo < lo || rhi > hi) {
+                lo = (k == 0) ? rlo : std::min(lo, rlo);
+                hi = (k == 0) ? rhi : std::max(hi, rhi);
                 const float scale =
                     (hi > lo) ? (hi - lo) / 255.f : 0.f;
                 const float zero = lo + 128.f * scale;
                 scales[c] = scale;
                 zeros[c] = zero;
-                for (size_t r = 0; r <= k; ++r)
-                    quantizeRow(staged.data() + r * ed, base + r * ed,
-                                ed, scale, zero);
+                // Staged and stored rows are both contiguous, so the
+                // whole tail chunk requantizes in one kernel call.
+                blas::quantizeI8(staged.data(), (k + 1) * ed, scale,
+                                 zero, base);
             } else {
-                quantizeRow(slot, base + k * ed, ed, scales[c],
-                            zeros[c]);
+                blas::quantizeI8(slot, ed, scales[c], zeros[c],
+                                 base + k * ed);
             }
         };
         ingest(min_row, tailMin, min8, minScaleV, minZeroV, minLo,

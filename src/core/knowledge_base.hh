@@ -93,7 +93,8 @@ class KnowledgeBase
 
     /**
      * Append one embedded sentence: min_row goes to M_IN, mout_row to
-     * M_OUT; both are ed floats (rounded to bf16 in BF16 mode).
+     * M_OUT; both are ed floats (rounded to bf16 in BF16 mode,
+     * quantized in I8 mode, where any NaN or +-inf element is fatal).
      */
     void addSentence(const float *min_row, const float *mout_row);
 

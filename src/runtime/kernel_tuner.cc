@@ -65,7 +65,7 @@ importedPlanValid(double strip, double pf)
 }
 
 /** Timed passes per candidate; the best is kept. */
-constexpr int kReps = 3;
+constexpr int kReps = 2;
 
 struct Key
 {
@@ -84,6 +84,7 @@ struct Stored
     KernelPlan plan;
     double seconds = 0.0;
     PlanOrigin origin = PlanOrigin::Default;
+    size_t passes = 0;
 };
 
 struct Table
@@ -264,7 +265,13 @@ struct Workbench
     }
 };
 
-/** Sweep the candidate grid and return the winner. */
+/**
+ * Coordinate descent over the candidate grid: sweep the strip rows at
+ * the default prefetch stride, then the prefetch stride at the best
+ * strip (the pair already timed is not re-run). With one untimed
+ * warm-up pass that is 1 + 2 * (6 + 2) = 17 passes per bucket, where
+ * the exhaustive 18-candidate sweep at 3 reps took 55.
+ */
 Stored
 measure(const Key &key)
 {
@@ -274,18 +281,24 @@ measure(const Key &key)
     best.seconds = -1.0;
     // One untimed pass warms the block into cache-steady state.
     wb.pass(key.precision, KernelPlan{});
-    for (size_t strip : kStripRowsCandidates) {
-        for (size_t pf : kPrefetchStrideCandidates) {
-            const KernelPlan plan{strip, pf};
-            double t = wb.pass(key.precision, plan);
-            for (int rep = 1; rep < kReps; ++rep)
-                t = std::min(t, wb.pass(key.precision, plan));
-            if (best.seconds < 0.0 || t < best.seconds) {
-                best.plan = plan;
-                best.seconds = t;
-            }
+    best.passes = 1;
+    const auto tryPlan = [&](const KernelPlan &plan) {
+        double t = wb.pass(key.precision, plan);
+        for (int rep = 1; rep < kReps; ++rep)
+            t = std::min(t, wb.pass(key.precision, plan));
+        best.passes += kReps;
+        if (best.seconds < 0.0 || t < best.seconds) {
+            best.plan = plan;
+            best.seconds = t;
         }
-    }
+    };
+    const size_t pf0 = KernelPlan{}.prefetchStride;
+    for (size_t strip : kStripRowsCandidates)
+        tryPlan({strip, pf0});
+    const size_t strip = best.plan.stripRows;
+    for (size_t pf : kPrefetchStrideCandidates)
+        if (pf != pf0)
+            tryPlan({strip, pf});
     return best;
 }
 
@@ -433,6 +446,7 @@ KernelTuner::entries() const
         e.plan = stored.plan;
         e.seconds = stored.seconds;
         e.origin = stored.origin;
+        e.passes = stored.passes;
         out.push_back(std::move(e));
     }
     return out;

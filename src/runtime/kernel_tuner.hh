@@ -6,7 +6,7 @@
  * software prefetch across the strip loop. The best (strip rows,
  * prefetch stride) pair depends on the storage precision (bytes per
  * row), the embedding dimension, and the batch size — a measured
- * artifact, not a hard-coded guess. KernelTuner sweeps a small
+ * artifact, not a hard-coded guess. KernelTuner searches a small
  * candidate grid over a synthetic row block at first use of each
  * (precision, ed, nq) bucket, caches the winner in a process-wide
  * table, and hands engines the tuned plan; later engine constructions
@@ -88,10 +88,14 @@ class KernelTuner
      * embedding dimension `ed`, and `nq` concurrent queries. ed and
      * nq are bucketed (ed to {64, 128, 256, 512}, nq to {1, 4, 16})
      * so the table stays small and unit tests with many geometries
-     * re-measure rarely. First call per bucket measures the candidate
-     * grid (~tens of ms); later calls are a locked map lookup. With
-     * MNNFAST_NO_TUNER=1 returns the default plan without measuring
-     * or caching.
+     * re-measure rarely. First call per bucket searches the candidate
+     * grid by coordinate descent — strip rows at the default prefetch
+     * stride, then prefetch stride at the best strip, best of 2 timed
+     * passes each, 17 kernel passes in all (DESIGN.md §10). Every
+     * pass streams an L2-overflowing block, so a bucket costs about
+     * 20-150 ms at ed=64 on a 4-core Xeon host; later calls are a
+     * locked map lookup. With MNNFAST_NO_TUNER=1 returns the default
+     * plan without measuring or caching.
      */
     KernelPlan plan(const char *precision, size_t ed, size_t nq);
 
@@ -104,6 +108,9 @@ class KernelTuner
         KernelPlan plan;
         double seconds = 0.0; ///< best candidate's measured seconds
         PlanOrigin origin = PlanOrigin::Default;
+        /** Kernel passes the search ran, warm-up included (0 unless
+         *  measured in this process; not part of the JSON table). */
+        size_t passes = 0;
     };
 
     /** Snapshot of the table, sorted by (precision, ed, nq). */

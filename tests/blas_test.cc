@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "blas/kernels.hh"
@@ -1042,6 +1045,124 @@ TEST(WeightedSumSkipMultiI8, RowSweepSplitInvariant)
         for (size_t i = 0; i < a1.size(); ++i)
             ASSERT_EQ(a2[i], a1[i]) << "c=" << c << " i=" << i;
     }
+}
+
+// ---------------------------------------------------------------------
+// int8 ingest kernels (core::KnowledgeBase's I8 append path). Both are
+// bit-identical between backends by contract, including the sign of a
+// zero extremum, round-half-even ties and every lrintf overflow case.
+// ---------------------------------------------------------------------
+
+uint32_t
+bitsOf(float v)
+{
+    uint32_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+TEST(FiniteRangeI8, BitIdenticalToScalarReference)
+{
+    const size_t n_cases[] = {1, 7, 8, 9, 15, 16, 17, 64, 67, 129};
+    for (size_t n : n_cases) {
+        for (uint64_t seed : {701u, 702u, 703u}) {
+            XorShiftRng rng(seed);
+            std::vector<float> x(n);
+            // Mixed-sign zeros compete for both extrema whenever the
+            // draw is non-positive / non-negative throughout.
+            const float span = seed == 703u ? 0.f : 3.f;
+            const float sign = seed == 702u ? -1.f : 1.f;
+            for (float &v : x)
+                v = rng.below(3) == 0 ? (rng.below(2) ? 0.f : -0.f)
+                                      : sign * rng.uniformRange(0.f, span);
+            float lo = 9.f, hi = 9.f, rlo = 7.f, rhi = 7.f;
+            ASSERT_TRUE(finiteRangeI8(x.data(), n, lo, hi));
+            ASSERT_TRUE(scalar::finiteRangeI8(x.data(), n, rlo, rhi));
+            ASSERT_EQ(bitsOf(lo), bitsOf(rlo)) << "n=" << n << " " << seed;
+            ASSERT_EQ(bitsOf(hi), bitsOf(rhi)) << "n=" << n << " " << seed;
+            EXPECT_EQ(lo, *std::min_element(x.begin(), x.end()));
+            EXPECT_EQ(hi, *std::max_element(x.begin(), x.end()));
+        }
+    }
+}
+
+TEST(FiniteRangeI8, RejectsAnyNonFiniteElement)
+{
+    // Every position — 8-lane body and scalar tail — for each kind of
+    // non-finite value. A NaN never wins a min/max comparison, so the
+    // check cannot be read off the extrema.
+    const float bad[] = {std::numeric_limits<float>::quiet_NaN(),
+                         std::numeric_limits<float>::infinity(),
+                         -std::numeric_limits<float>::infinity()};
+    for (size_t n : {size_t(1), size_t(7), size_t(8), size_t(13),
+                     size_t(24)}) {
+        for (size_t at = 0; at < n; ++at) {
+            for (float b : bad) {
+                auto x = randomVec(n, 710 + n);
+                x[at] = b;
+                float lo, hi;
+                EXPECT_FALSE(finiteRangeI8(x.data(), n, lo, hi))
+                    << "n=" << n << " at=" << at << " v=" << b;
+                EXPECT_FALSE(scalar::finiteRangeI8(x.data(), n, lo, hi))
+                    << "n=" << n << " at=" << at << " v=" << b;
+            }
+        }
+    }
+}
+
+TEST(QuantizeI8, RoundsHalfToEvenAndClampsLikeLrintf)
+{
+    // scale 0.5, zero 0: (x - zero) / scale == 2x exactly, so these
+    // inputs land on exact .5 ties and on both clamp edges.
+    const float scale = 0.5f, zero = 0.f;
+    const float x[] = {0.25f,   0.75f,   -0.25f,  -0.75f, 63.25f,
+                       63.5f,   63.75f,  64.f,    -64.f,  -64.25f,
+                       -64.75f, 63.74f,  -65.f};
+    const int expect[] = {0,    2,   0,    -2,   126, 127, 127,
+                          127,  -128, -128, -128, 127, -128};
+    const size_t n = std::size(x);
+    std::vector<int8_t> q(n, 55);
+    quantizeI8(x, n, scale, zero, q.data());
+    for (size_t i = 0; i < n; ++i)
+        EXPECT_EQ(int(q[i]), expect[i]) << "x=" << x[i];
+}
+
+TEST(QuantizeI8, BitIdenticalToScalarReference)
+{
+    constexpr float inf = std::numeric_limits<float>::infinity();
+    // Ties, clamp edges, and lrintf's overflow cases (NaN, +-inf and
+    // |v| >= 2^63, which lrintf maps to LONG_MIN -> -128) on top of a
+    // random row, at every body/tail split.
+    const float specials[] = {0.25f,  0.75f,  63.25f, 63.75f, -64.25f,
+                              -64.75f, 63.5f, -64.f,  1e19f,  -1e19f,
+                              4e18f,  -4e18f, inf,    -inf,
+                              std::numeric_limits<float>::quiet_NaN()};
+    for (size_t n : {size_t(1), size_t(7), size_t(8), size_t(9),
+                     size_t(15), size_t(16), size_t(17), size_t(64),
+                     size_t(67), size_t(200)}) {
+        auto x = randomVec(n, 720 + n);
+        for (float &v : x)
+            v *= 40.f;
+        for (size_t i = 0; i < n; i += 2)
+            x[i] = specials[(i / 2) % std::size(specials)];
+        for (const auto &[scale, zero] :
+             {std::pair{0.5f, 0.f}, std::pair{0.0123f, -0.456f},
+              std::pair{1e-3f, 10.f}, std::pair{0.f, 3.f}}) {
+            std::vector<int8_t> got(n, 55), ref(n, 66);
+            quantizeI8(x.data(), n, scale, zero, got.data());
+            scalar::quantizeI8(x.data(), n, scale, zero, ref.data());
+            for (size_t i = 0; i < n; ++i)
+                ASSERT_EQ(int(got[i]), int(ref[i]))
+                    << "n=" << n << " scale=" << scale << " i=" << i
+                    << " x=" << x[i];
+        }
+    }
+    // A zero scale is the constant chunk: every code is 0.
+    const auto x = randomVec(19, 730);
+    std::vector<int8_t> q(19, 55);
+    quantizeI8(x.data(), x.size(), 0.f, 1.f, q.data());
+    for (int8_t v : q)
+        EXPECT_EQ(int(v), 0);
 }
 
 TEST(GemmSimd, MatchesScalarAcrossShapes)

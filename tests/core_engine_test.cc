@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -844,61 +846,111 @@ TEST(KnowledgeBaseI8, BytesReflectElementSize)
 TEST(KnowledgeBaseI8, StorageMatchesBatchQuantization)
 {
     // Rows are quantized at append time with tail-chunk requantization
-    // when the running range grows, so the stored bytes must equal
-    // quantizing each full chunk against its final [lo, hi] — for
-    // M_IN and M_OUT independently. Small qchunk forces several
-    // chunks including a partial tail.
-    const size_t ed = 7, ns = 29, qchunk = 8;
-    KnowledgeBase kb(ed, Precision::I8, qchunk);
-    XorShiftRng rng(141);
-    std::vector<float> all_min, all_mout, min_row(ed), mout_row(ed);
-    for (size_t i = 0; i < ns; ++i) {
-        for (size_t e = 0; e < ed; ++e) {
-            min_row[e] = rng.uniformRange(-2.f, 3.f);
-            mout_row[e] = rng.uniformRange(-1.f, 0.5f);
-        }
-        all_min.insert(all_min.end(), min_row.begin(), min_row.end());
-        all_mout.insert(all_mout.end(), mout_row.begin(),
-                        mout_row.end());
-        kb.addSentence(min_row.data(), mout_row.data());
-    }
-    EXPECT_EQ(kb.i8ChunkRows(), qchunk);
+    // when the running range grows, so after *every* append the stored
+    // bytes and codes must equal quantizing each chunk so far against
+    // its current [lo, hi] — partial tail chunk included, for M_IN and
+    // M_OUT independently. Small qchunk forces several chunks: chunk 1
+    // extends its range on its last rows, chunk 2's M_IN is constant
+    // (scale 0), and the run ends on a partial chunk. ed covers a
+    // tail-only row (7), a pure 8-lane body (64) and body + tail (67).
+    const size_t ns = 29, qchunk = 8;
+    for (size_t ed : {size_t(7), size_t(64), size_t(67)}) {
+        KnowledgeBase kb(ed, Precision::I8, qchunk);
+        XorShiftRng rng(141 + ed);
+        std::vector<float> all_min, all_mout, min_row(ed), mout_row(ed);
 
-    auto check = [&](const std::vector<float> &src,
-                     auto rowAccessor, auto scaleAt, auto zeroAt) {
-        for (size_t c0 = 0; c0 < ns; c0 += qchunk) {
-            const size_t c1 = std::min(c0 + qchunk, ns);
-            float lo = src[c0 * ed], hi = src[c0 * ed];
-            for (size_t i = c0 * ed; i < c1 * ed; ++i) {
-                lo = std::min(lo, src[i]);
-                hi = std::max(hi, src[i]);
-            }
-            const float scale = (hi - lo) / 255.f;
-            const float zero = lo + 128.f * scale;
-            ASSERT_FLOAT_EQ(scaleAt(c0), scale) << "chunk@" << c0;
-            ASSERT_FLOAT_EQ(zeroAt(c0), zero) << "chunk@" << c0;
-            for (size_t i = c0; i < c1; ++i) {
-                for (size_t e = 0; e < ed; ++e) {
-                    const float x = src[i * ed + e];
-                    long q = std::lrintf((x - zero) * (1.f / scale));
-                    q = std::min(127l, std::max(-128l, q));
-                    ASSERT_EQ(long(rowAccessor(i)[e]), q)
-                        << "row " << i << " elem " << e;
-                    // The documented error bound of the format.
-                    const float back = scale * float(q) + zero;
-                    ASSERT_LE(std::abs(back - x),
-                              scale / 2 + 1e-6f)
-                        << "row " << i << " elem " << e;
+        // From-scratch quantization of rows [0, n) of src, checked
+        // against the stored rows and codes of one matrix.
+        auto check = [&](const std::vector<float> &src, size_t n,
+                         auto rowAt, auto scaleAt, auto zeroAt) {
+            for (size_t c0 = 0; c0 < n; c0 += qchunk) {
+                const size_t c1 = std::min(c0 + qchunk, n);
+                float lo = src[c0 * ed], hi = src[c0 * ed];
+                for (size_t i = c0 * ed; i < c1 * ed; ++i) {
+                    lo = std::min(lo, src[i]);
+                    hi = std::max(hi, src[i]);
+                }
+                const float scale = (hi > lo) ? (hi - lo) / 255.f : 0.f;
+                const float zero = lo + 128.f * scale;
+                ASSERT_EQ(scaleAt(c0), scale) << "chunk@" << c0;
+                ASSERT_EQ(zeroAt(c0), zero) << "chunk@" << c0;
+                for (size_t i = c0; i < c1; ++i) {
+                    for (size_t e = 0; e < ed; ++e) {
+                        const float x = src[i * ed + e];
+                        long q = 0;
+                        if (scale > 0.f) {
+                            q = std::lrintf((x - zero) * (1.f / scale));
+                            q = std::min(127l, std::max(-128l, q));
+                        }
+                        ASSERT_EQ(long(rowAt(i)[e]), q)
+                            << "row " << i << " elem " << e;
+                        // The documented error bound of the format.
+                        const float back = scale * float(q) + zero;
+                        ASSERT_LE(std::abs(back - x), scale / 2 + 1e-6f)
+                            << "row " << i << " elem " << e;
+                    }
                 }
             }
+        };
+
+        for (size_t i = 0; i < ns; ++i) {
+            const size_t chunk = i / qchunk, k = i % qchunk;
+            for (size_t e = 0; e < ed; ++e) {
+                min_row[e] = chunk == 2 ? 0.7f : rng.uniformRange(-2.f, 3.f);
+                mout_row[e] = rng.uniformRange(-1.f, 0.5f);
+            }
+            if (chunk == 1 && k == qchunk - 2)
+                min_row[ed / 2] = 10.f; // late extension, interior elem
+            if (chunk == 1 && k == qchunk - 1)
+                mout_row[ed / 2] = -5.f;
+            all_min.insert(all_min.end(), min_row.begin(), min_row.end());
+            all_mout.insert(all_mout.end(), mout_row.begin(),
+                            mout_row.end());
+            kb.addSentence(min_row.data(), mout_row.data());
+
+            SCOPED_TRACE(testing::Message() << "ed=" << ed << " after "
+                                            << i + 1 << " appends");
+            check(all_min, i + 1, [&](size_t r) { return kb.minRow8(r); },
+                  [&](size_t r) { return kb.minScale(r); },
+                  [&](size_t r) { return kb.minZero(r); });
+            check(all_mout, i + 1,
+                  [&](size_t r) { return kb.moutRow8(r); },
+                  [&](size_t r) { return kb.moutScale(r); },
+                  [&](size_t r) { return kb.moutZero(r); });
+            if (HasFatalFailure())
+                return;
         }
-    };
-    check(all_min, [&](size_t i) { return kb.minRow8(i); },
-          [&](size_t i) { return kb.minScale(i); },
-          [&](size_t i) { return kb.minZero(i); });
-    check(all_mout, [&](size_t i) { return kb.moutRow8(i); },
-          [&](size_t i) { return kb.moutScale(i); },
-          [&](size_t i) { return kb.moutZero(i); });
+        EXPECT_EQ(kb.i8ChunkRows(), qchunk);
+        EXPECT_EQ(kb.minScale(2 * qchunk), 0.f); // the constant chunk
+    }
+}
+
+TEST(KnowledgeBaseI8, NonFiniteElementIsFatal)
+{
+    // A NaN never wins a min/max comparison, so an endpoint-only check
+    // would store it as -128; the ingest scan must reject any
+    // non-finite element, at an interior index of either matrix (one
+    // in the SIMD body, one in the scalar tail of a 67-wide row).
+    const size_t ed = 67;
+    const float bad[] = {std::numeric_limits<float>::quiet_NaN(),
+                         std::numeric_limits<float>::infinity(),
+                         -std::numeric_limits<float>::infinity()};
+    for (float b : bad) {
+        for (size_t at : {size_t(3), size_t(33), size_t(65)}) {
+            KnowledgeBase kb(ed, Precision::I8, 8);
+            std::vector<float> ok(ed, 0.25f), row(ed, 0.1f);
+            for (size_t e = 0; e < ed; ++e)
+                row[e] = 0.1f * float(e % 5);
+            kb.addSentence(ok.data(), ok.data());
+            row[at] = b;
+            EXPECT_DEATH(kb.addSentence(row.data(), ok.data()),
+                         "finite embeddings")
+                << "M_IN v=" << b << " at=" << at;
+            EXPECT_DEATH(kb.addSentence(ok.data(), row.data()),
+                         "finite embeddings")
+                << "M_OUT v=" << b << " at=" << at;
+        }
+    }
 }
 
 TEST(KnowledgeBaseI8, WrongPrecisionAccessorPanics)

@@ -6,12 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <mutex>
 #include <numeric>
 #include <string>
@@ -452,6 +454,40 @@ TEST(KernelTuner, PlanIsMeasuredOncePerBucketAndCached)
     // Different bucket: measured separately.
     tuner.plan("i8", 128, 1);
     EXPECT_EQ(tuner.measuredCount(), c0 + 2);
+}
+
+TEST(KernelTuner, SearchedPlansAreInGridAndEachBucketMeasuredOnce)
+{
+    // The search is a coordinate descent over the candidate grids, so
+    // every pick must still be a grid member, and each bucket must be
+    // searched exactly once in 1 warm-up + 2 x (6 strips + 2 more
+    // prefetch strides) = 17 passes — not the exhaustive sweep's 55.
+    KernelTuner &tuner = KernelTuner::instance();
+    tuner.clear();
+    const std::pair<const char *, size_t> buckets[] = {
+        {"f32", 1}, {"bf16", 4}, {"i8", 4}, {"bound", 1}};
+    for (int round = 0; round < 2; ++round)
+        for (const auto &[prec, nq] : buckets)
+            tuner.plan(prec, 64, nq);
+    EXPECT_EQ(tuner.measuredCount(), std::size(buckets));
+
+    const auto all = tuner.entries();
+    ASSERT_EQ(all.size(), std::size(buckets));
+    for (const auto &e : all) {
+        EXPECT_EQ(e.origin, PlanOrigin::Measured) << e.precision;
+        EXPECT_NE(std::find(std::begin(kStripRowsCandidates),
+                            std::end(kStripRowsCandidates),
+                            e.plan.stripRows),
+                  std::end(kStripRowsCandidates))
+            << e.precision << " strip " << e.plan.stripRows;
+        EXPECT_NE(std::find(std::begin(kPrefetchStrideCandidates),
+                            std::end(kPrefetchStrideCandidates),
+                            e.plan.prefetchStride),
+                  std::end(kPrefetchStrideCandidates))
+            << e.precision << " prefetch " << e.plan.prefetchStride;
+        EXPECT_EQ(e.passes, 17u) << e.precision;
+        EXPECT_GT(e.seconds, 0.0) << e.precision;
+    }
 }
 
 TEST(KernelTuner, ExportImportRoundTripSkipsMeasurement)
