@@ -12,7 +12,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench_util.hh"
+#include "bench_common.hh"
 #include "core/column_engine.hh"
 #include "sim/traffic.hh"
 #include "stats/table.hh"

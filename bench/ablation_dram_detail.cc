@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench_util.hh"
+#include "bench_common.hh"
 #include "sim/dram_bank_model.hh"
 #include "stats/table.hh"
 #include "util/rng.hh"

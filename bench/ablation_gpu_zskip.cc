@@ -12,7 +12,7 @@
 
 #include <cstdio>
 
-#include "bench_util.hh"
+#include "bench_common.hh"
 #include "gpu/zskip_model.hh"
 #include "stats/table.hh"
 

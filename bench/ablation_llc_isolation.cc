@@ -15,7 +15,7 @@
 
 #include <cstdio>
 
-#include "bench_util.hh"
+#include "bench_common.hh"
 #include "sim/contention.hh"
 #include "stats/table.hh"
 

@@ -29,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hh"
+#include "bench_common.hh"
 #include "core/column_engine.hh"
 #include "stats/table.hh"
 #include "util/rng.hh"
@@ -113,12 +113,7 @@ maxDeviation(const std::vector<float> &ref, const std::vector<float> &o)
 int
 main()
 {
-    const char *json_path = std::getenv("MNNFAST_BENCH_JSON");
-    if (!json_path || json_path[0] == '\0') {
-        std::fprintf(stderr, "usage: MNNFAST_BENCH_JSON=<path> "
-                             "ablation_precision\n");
-        return 2;
-    }
+    const char *json_path = bench::requireJsonPath("ablation_precision");
 
     bench::banner("Ablation: knowledge-base storage precision",
                   "fp32 vs bf16 (half the bytes) vs int8 (a quarter), "

@@ -12,8 +12,8 @@
  * dominates. The headline ratio t(nq=16)/t(nq=1) per question is the
  * amortization the serving simulator's affine service model assumes.
  *
- * Emits BENCH_query_batch.json (path overridable via the
- * MNNFAST_BENCH_JSON environment variable) for tracking.
+ * Writes its JSON (e.g. BENCH_query_batch.json) only to the explicit
+ * path in MNNFAST_BENCH_JSON, for tracking; exits 2 without one.
  */
 
 #include <cstdio>
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "bench_util.hh"
 #include "core/column_engine.hh"
 #include "stats/table.hh"
 #include "util/rng.hh"
@@ -48,6 +47,7 @@ main(int argc, char **argv)
     const size_t chunk = args.sizeOpt("chunk", 512);
     const size_t reps = args.sizeOpt("reps", 5);
     args.finish();
+    const char *json_path = bench::requireJsonPath("ablation_query_batch");
 
     bench::banner("Ablation: query-blocked batch amortization",
                   "Per-question latency vs batch size; the KB stream "
@@ -80,8 +80,7 @@ main(int argc, char **argv)
         {"mnnfast", true, 1e-4f},
     };
 
-    bench::JsonWriter json(
-        bench::benchJsonPath("BENCH_query_batch.json"));
+    bench::JsonWriter json(json_path);
     json.beginObject();
     json.field("ns", ns);
     json.field("ed", ed);

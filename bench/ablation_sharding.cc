@@ -23,7 +23,8 @@
  *     ColumnEngine (0 when shard boundaries are chunk-aligned — the
  *     bit-identity guarantee).
  *
- * Emits BENCH_sharding.json (path overridable via MNNFAST_BENCH_JSON).
+ * Writes its JSON (e.g. BENCH_sharding.json) only to the explicit path in
+ * MNNFAST_BENCH_JSON; exits 2 without one.
  *
  * Flags:
  *   --smoke      tiny KB, short rounds (CI leak check)
@@ -41,7 +42,6 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "bench_util.hh"
 #include "core/column_engine.hh"
 #include "core/sharded_engine.hh"
 #include "core/sharded_knowledge_base.hh"
@@ -203,6 +203,7 @@ main(int argc, char **argv)
     const bool smoke = args.flag("smoke");
     const size_t workers = args.sizeOpt("workers", 2);
     args.finish();
+    const char *json_path = bench::requireJsonPath("ablation_sharding");
 
     bench::banner("Sharded vs replicated serving",
                   "Scatter/gather over a sharded KB against "
@@ -322,8 +323,7 @@ main(int argc, char **argv)
     }
     table.print();
 
-    bench::JsonWriter json(
-        bench::benchJsonPath("BENCH_sharding.json"));
+    bench::JsonWriter json(json_path);
     json.beginObject();
     json.key("kb");
     json.beginObject();

@@ -20,7 +20,8 @@
  *     against the streamed-row fraction: the routed analogue of the
  *     paper's Fig. 7 threshold sweep.
  *
- * Emits BENCH_topk.json (path overridable via MNNFAST_BENCH_JSON).
+ * Writes its JSON (e.g. BENCH_topk.json) only to the explicit path in
+ * MNNFAST_BENCH_JSON; exits 2 without one.
  *
  * `--smoke` shrinks the geometry (ns=4096, ed=64) and skips training
  * so CI can run the bit-identity assertions in seconds.
@@ -32,7 +33,6 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "bench_util.hh"
 #include "core/column_engine.hh"
 #include "core/sharded_engine.hh"
 #include "core/sharded_knowledge_base.hh"
@@ -89,6 +89,7 @@ main(int argc, char **argv)
     const size_t nq = args.sizeOpt("nq", 16);
     const size_t reps = args.sizeOpt("reps", smoke ? 3 : 7);
     args.finish();
+    const char *json_path = bench::requireJsonPath("ablation_topk");
 
     bench::banner("Ablation: top-k chunk routing",
                   "Coarse bound-scored candidate selection vs exact "
@@ -110,7 +111,7 @@ main(int argc, char **argv)
     for (size_t k = n_chunks / 4; k >= 2; k /= 2)
         ks.push_back(k);
 
-    bench::JsonWriter json(bench::benchJsonPath("BENCH_topk.json"));
+    bench::JsonWriter json(json_path);
     json.beginObject();
     json.field("ns", ns);
     json.field("ed", ed);

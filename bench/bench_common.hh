@@ -1,10 +1,10 @@
 /**
  * @file
- * Shared harness plumbing for the bench binaries: command-line
- * parsing, best-of-N timing, and structured JSON emission. bench_util.hh
- * keeps the *domain* helpers (trained tasks, synthetic KBs); this file
- * keeps the *mechanics* every harness otherwise re-implements, so
- * smoke flags and JSON layout stay uniform across benches.
+ * Shared helpers for the bench binaries: the harness mechanics
+ * (command-line parsing, best-of-N timing, structured JSON emission,
+ * banners and CSV export) and the domain fixtures (trained tasks,
+ * synthetic attention KBs) that every harness would otherwise
+ * re-implement, so smoke flags and JSON layout stay uniform.
  *
  * Conventions baked in:
  *  - Options are `--name value` or `--name=value`; bare `--name` is a
@@ -15,8 +15,10 @@
  *    disturbed by preemption and co-tenant cache traffic, and a fixed
  *    noise quantum biases ratios against short runs — the estimator
  *    the precision ablation documents, now shared.
- *  - JSON goes to the harness's default path unless MNNFAST_BENCH_JSON
- *    overrides it (benchJsonPath), matching every existing bench.
+ *  - JSON goes only to the explicit path in MNNFAST_BENCH_JSON
+ *    (requireJsonPath); a harness run without it exits 2 before
+ *    measuring, so no run can overwrite a committed BENCH_*.json by
+ *    writing to the current directory.
  */
 
 #ifndef MNNFAST_BENCH_BENCH_COMMON_HH
@@ -25,13 +27,125 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/knowledge_base.hh"
+#include "data/babi.hh"
+#include "stats/csv.hh"
+#include "train/model.hh"
+#include "train/trainer.hh"
 #include "util/logging.hh"
+#include "util/rng.hh"
 #include "util/timer.hh"
 
 namespace mnnfast::bench {
+
+/** Print a uniform harness banner. */
+inline void
+banner(const char *figure, const char *description)
+{
+    std::printf("==============================================================\n");
+    std::printf("%s\n%s\n", figure, description);
+    std::printf("==============================================================\n");
+}
+
+/**
+ * Optional CSV export: when the MNNFAST_CSV_DIR environment variable
+ * is set, harnesses write their data series to <dir>/<name>.csv for
+ * external plotting. Returns nullptr (no export) otherwise.
+ */
+inline std::unique_ptr<stats::CsvWriter>
+maybeCsv(const char *name)
+{
+    const char *dir = std::getenv("MNNFAST_CSV_DIR");
+    if (!dir)
+        return nullptr;
+    return std::make_unique<stats::CsvWriter>(
+        std::string(dir) + "/" + name + ".csv");
+}
+
+/** A trained model together with its task context. */
+struct TrainedTask
+{
+    std::unique_ptr<data::Vocabulary> vocab;
+    std::unique_ptr<data::BabiGenerator> gen;
+    std::unique_ptr<train::MemNnModel> model;
+    double trainAccuracy = 0.0;
+};
+
+/**
+ * Train a MemNN on one synthetic bAbI task. Sizes are chosen so a
+ * single harness trains in a few seconds while still producing the
+ * sparse attention the paper's Figs. 6-7 rely on.
+ */
+inline TrainedTask
+trainTask(data::TaskType task, size_t ed, size_t hops, size_t story_len,
+          size_t examples, size_t epochs, uint64_t seed,
+          float learning_rate = 0.05f)
+{
+    TrainedTask t;
+    t.vocab = std::make_unique<data::Vocabulary>();
+    t.gen = std::make_unique<data::BabiGenerator>(task, *t.vocab, seed);
+    const data::Dataset train_set =
+        t.gen->generateSet(examples, story_len);
+
+    train::ModelConfig mc;
+    mc.vocabSize = t.vocab->size();
+    mc.embeddingDim = ed;
+    mc.hops = hops;
+    mc.maxStory = story_len + 2;
+    t.model = std::make_unique<train::MemNnModel>(mc, seed + 1);
+
+    train::TrainConfig tc;
+    tc.epochs = epochs;
+    tc.learningRate = learning_rate;
+    const auto result = train::trainModel(*t.model, train_set, tc);
+    t.trainAccuracy = result.trainAccuracy;
+    return t;
+}
+
+/**
+ * Build a knowledge base whose attention profile mimics a trained
+ * memory network: `hot_fraction` of the rows correlate strongly with
+ * the probe question (dot ~ hot_dot) and the rest are background
+ * (dot ~ cold_dot). Used by the FPGA/energy harnesses, which need
+ * paper-scale databases (ns = 1000) that exceed the trainer's story
+ * length.
+ */
+inline core::KnowledgeBase
+makeAttentionKb(size_t ns, size_t ed, const float *u,
+                double hot_fraction, float hot_dot, float cold_dot,
+                uint64_t seed)
+{
+    core::KnowledgeBase kb(ed);
+    kb.reserve(ns);
+    XorShiftRng rng(seed);
+
+    // Normalize u once; rows are target_dot * u / |u|^2 + orthogonal
+    // noise, so u . row ~ target_dot.
+    double norm2 = 0.0;
+    for (size_t e = 0; e < ed; ++e)
+        norm2 += double(u[e]) * u[e];
+    if (norm2 == 0.0)
+        norm2 = 1.0;
+
+    std::vector<float> min_row(ed), mout_row(ed);
+    for (size_t i = 0; i < ns; ++i) {
+        const bool hot = rng.uniform() < hot_fraction;
+        const float target = hot ? hot_dot : cold_dot;
+        for (size_t e = 0; e < ed; ++e) {
+            const float noise = rng.uniformRange(-0.05f, 0.05f);
+            min_row[e] =
+                static_cast<float>(target * u[e] / norm2) + noise;
+            mout_row[e] = rng.uniformRange(-0.5f, 0.5f);
+        }
+        kb.addSentence(min_row.data(), mout_row.data());
+    }
+    return kb;
+}
+
 
 /**
  * Minimal command-line parser for bench harnesses. Construct over
@@ -149,12 +263,21 @@ minSeconds(size_t reps, Fn &&fn, size_t warmups = 2)
     return best;
 }
 
-/** The harness's JSON output path: MNNFAST_BENCH_JSON or `def`. */
+/**
+ * The harness's JSON output path, from MNNFAST_BENCH_JSON. Without it
+ * prints a usage line naming `harness` and exits 2; call it before
+ * measuring so a missing path costs nothing.
+ */
 inline const char *
-benchJsonPath(const char *def)
+requireJsonPath(const char *harness)
 {
     const char *env = std::getenv("MNNFAST_BENCH_JSON");
-    return env ? env : def;
+    if (!env || env[0] == '\0') {
+        std::fprintf(stderr, "usage: MNNFAST_BENCH_JSON=<path> %s\n",
+                     harness);
+        std::exit(2);
+    }
+    return env;
 }
 
 /**

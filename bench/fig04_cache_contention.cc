@@ -12,7 +12,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench_util.hh"
+#include "bench_common.hh"
 #include "sim/contention.hh"
 #include "stats/table.hh"
 

@@ -13,7 +13,7 @@
 
 #include <cstdio>
 
-#include "bench_util.hh"
+#include "bench_common.hh"
 #include "stats/histogram.hh"
 #include "stats/table.hh"
 

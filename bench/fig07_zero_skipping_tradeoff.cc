@@ -14,7 +14,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench_util.hh"
+#include "bench_common.hh"
 #include "stats/table.hh"
 
 using namespace mnnfast;

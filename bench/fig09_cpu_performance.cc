@@ -16,7 +16,7 @@
 #include <memory>
 #include <vector>
 
-#include "bench_util.hh"
+#include "bench_common.hh"
 #include "core/baseline_engine.hh"
 #include "core/column_engine.hh"
 #include "sim/cpu_system.hh"

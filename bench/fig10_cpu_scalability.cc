@@ -12,7 +12,7 @@
 
 #include <cstdio>
 
-#include "bench_util.hh"
+#include "bench_common.hh"
 #include "sim/cpu_system.hh"
 #include "sim/traffic.hh"
 #include "stats/table.hh"

@@ -10,7 +10,7 @@
 
 #include <cstdio>
 
-#include "bench_util.hh"
+#include "bench_common.hh"
 #include "sim/traffic.hh"
 #include "stats/table.hh"
 

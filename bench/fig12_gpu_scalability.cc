@@ -13,7 +13,7 @@
 
 #include <cstdio>
 
-#include "bench_util.hh"
+#include "bench_common.hh"
 #include "gpu/stream_sim.hh"
 #include "stats/table.hh"
 

@@ -12,7 +12,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench_util.hh"
+#include "bench_common.hh"
 #include "fpga/accelerator.hh"
 #include "stats/table.hh"
 #include "util/rng.hh"

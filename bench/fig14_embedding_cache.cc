@@ -16,7 +16,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench_util.hh"
+#include "bench_common.hh"
 #include "data/zipf.hh"
 #include "fpga/accelerator.hh"
 #include "fpga/embedding_cache.hh"

@@ -5,16 +5,19 @@
  * Not a paper figure — these guard against kernel-level regressions
  * that would invalidate the Fig. 9 measurements.
  *
- * Each dispatched kernel is benchmarked next to its scalar reference
- * (the `*Scalar` variants call blas::scalar:: directly, which is the
- * seed implementation verbatim), so one run quantifies the SIMD
- * speedup per kernel. Results default to machine-readable JSON in
- * ./BENCH_kernels.json; pass --benchmark_out=... to override.
+ * The dot kernel is benchmarked next to its scalar reference (the
+ * `*Scalar` variant calls blas::scalar:: directly), and the streaming
+ * kernels run once per row codec (f32, bf16, i8), so one run
+ * quantifies the SIMD speedup and the bytes-per-row scaling. Results
+ * go as JSON to the path in MNNFAST_BENCH_JSON (with the kernel-tuner
+ * table spliced in) or to an explicit --benchmark_out=...; without
+ * either the binary exits 2.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -68,45 +71,59 @@ BM_DotScalar(benchmark::State &state)
 }
 BENCHMARK(BM_DotScalar)->Arg(48)->Arg(256)->Arg(1024)->Arg(4096);
 
-void
-BM_DotBatch(benchmark::State &state)
+/**
+ * A rows x d block of random rows stored in one codec (int8 under a
+ * fixed affine code), viewed as blas::Rows.
+ */
+struct RowBlock
 {
-    const size_t rows = state.range(0), d = 1024;
-    const auto x = randomVec(d, 1);
-    const auto m = randomVec(rows * d, 2);
-    std::vector<float> out(rows);
-    for (auto _ : state) {
-        blas::dotBatch(x.data(), m.data(), rows, d, d, out.data());
-        benchmark::DoNotOptimize(out.data());
+    std::vector<float> f32;
+    std::vector<uint16_t> bf16;
+    std::vector<int8_t> i8;
+    blas::Rows rows{static_cast<const float *>(nullptr)};
+
+    RowBlock(blas::RowCodec codec, size_t n, uint64_t seed)
+    {
+        f32 = randomVec(n, seed);
+        switch (codec) {
+          case blas::RowCodec::F32:
+            rows = blas::Rows(f32.data());
+            break;
+          case blas::RowCodec::BF16:
+            for (float v : f32)
+                bf16.push_back(bf16FromFloat(v));
+            rows = blas::Rows(bf16.data());
+            break;
+          case blas::RowCodec::I8:
+            for (float v : f32)
+                i8.push_back(static_cast<int8_t>(v * 127.f));
+            rows = blas::Rows(i8.data(), 0.0123f, -0.456f);
+            break;
+        }
     }
-    state.SetItemsProcessed(state.iterations() * rows * d);
-}
-BENCHMARK(BM_DotBatch)->Arg(64)->Arg(1000);
+};
 
 void
-BM_DotBatchMulti(benchmark::State &state)
+BM_DotBatchMulti(benchmark::State &state, blas::RowCodec codec)
 {
     // Query-blocked inner products: rows x queries at d=256 (the
-    // engine's hot shape). Items processed counts every (q, r) dot so
-    // throughput is directly comparable to BM_DotBatch per query.
+    // engine's hot shape). Items processed counts every (q, r) dot;
+    // bf16 and int8 rows stream at a half and a quarter of the fp32
+    // bytes and widen in-register.
     const size_t rows = state.range(0), nq = state.range(1), d = 256;
     const auto x = randomVec(nq * d, 1);
-    const auto m = randomVec(rows * d, 2);
+    const RowBlock m(codec, rows * d, 2);
     std::vector<float> out(nq * rows);
     for (auto _ : state) {
-        blas::dotBatchMulti(x.data(), nq, d, m.data(), rows, d, d,
+        blas::dotBatchMulti(x.data(), nq, d, m.rows, rows, d, d,
                             out.data(), rows);
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(state.iterations() * nq * rows * d);
 }
-BENCHMARK(BM_DotBatchMulti)
-    ->Args({512, 1})
-    ->Args({512, 4})
-    ->Args({512, 16});
 
 void
-BM_WeightedSumSkipMulti(benchmark::State &state)
+BM_WeightedSumSkipMulti(benchmark::State &state, blas::RowCodec codec)
 {
     // Query-blocked weighted sum: each kept row is loaded once and
     // accumulated into every query's output.
@@ -115,166 +132,33 @@ BM_WeightedSumSkipMulti(benchmark::State &state)
     auto e = randomVec(nq * rows, 3);
     for (float &v : e)
         v = v * 0.5f + 0.5f; // positive exp-like weights
-    const auto m = randomVec(rows * d, 4);
+    const RowBlock m(codec, rows * d, 4);
     std::vector<float> acc(nq * d, 0.f);
     std::vector<double> s(nq);
     for (auto _ : state) {
         std::fill(s.begin(), s.end(), 0.0);
         uint64_t kept = 0, skipped = 0;
-        blas::weightedSumSkipMulti(e.data(), nq, rows, m.data(), rows,
-                                   d, d, threshold, s.data(), acc.data(),
-                                   d, kept, skipped);
+        blas::weightedSumSkipMulti(e.data(), nq, rows, m.rows, rows, d, d,
+                                   threshold, s.data(), acc.data(), d,
+                                   kept, skipped);
         benchmark::DoNotOptimize(acc.data());
         benchmark::DoNotOptimize(s.data());
     }
     state.SetItemsProcessed(state.iterations() * nq * rows * d);
 }
-BENCHMARK(BM_WeightedSumSkipMulti)
-    ->Args({512, 1, 0})
-    ->Args({512, 16, 0})
-    ->Args({512, 16, 1});
 
-std::vector<uint16_t>
-randomVecBf16(size_t n, uint64_t seed)
-{
-    const auto f = randomVec(n, seed);
-    std::vector<uint16_t> v(n);
-    for (size_t i = 0; i < n; ++i)
-        v[i] = bf16FromFloat(f[i]);
-    return v;
-}
-
-void
-BM_DotBatchMultiBf16(benchmark::State &state)
-{
-    // bf16-storage counterpart of BM_DotBatchMulti at the same shape:
-    // the rows stream at half the bytes and widen in-register.
-    const size_t rows = state.range(0), nq = state.range(1), d = 256;
-    const auto x = randomVec(nq * d, 1);
-    const auto m = randomVecBf16(rows * d, 2);
-    std::vector<float> out(nq * rows);
-    for (auto _ : state) {
-        blas::dotBatchMultiBf16(x.data(), nq, d, m.data(), rows, d, d,
-                                out.data(), rows);
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(state.iterations() * nq * rows * d);
-}
-BENCHMARK(BM_DotBatchMultiBf16)
-    ->Args({512, 1})
-    ->Args({512, 4})
-    ->Args({512, 16});
-
-void
-BM_WeightedSumSkipMultiBf16(benchmark::State &state)
-{
-    const size_t rows = state.range(0), nq = state.range(1), d = 256;
-    const float threshold = state.range(2) != 0 ? 0.1f : 0.f;
-    auto e = randomVec(nq * rows, 3);
-    for (float &v : e)
-        v = v * 0.5f + 0.5f; // positive exp-like weights
-    const auto m = randomVecBf16(rows * d, 4);
-    std::vector<float> acc(nq * d, 0.f);
-    std::vector<double> s(nq);
-    for (auto _ : state) {
-        std::fill(s.begin(), s.end(), 0.0);
-        uint64_t kept = 0, skipped = 0;
-        blas::weightedSumSkipMultiBf16(e.data(), nq, rows, m.data(),
-                                       rows, d, d, threshold, s.data(),
-                                       acc.data(), d, kept, skipped);
-        benchmark::DoNotOptimize(acc.data());
-        benchmark::DoNotOptimize(s.data());
-    }
-    state.SetItemsProcessed(state.iterations() * nq * rows * d);
-}
-BENCHMARK(BM_WeightedSumSkipMultiBf16)
-    ->Args({512, 1, 0})
-    ->Args({512, 16, 0})
-    ->Args({512, 16, 1});
-
-std::vector<int8_t>
-randomVecI8(size_t n, uint64_t seed)
-{
-    XorShiftRng rng(seed);
-    std::vector<int8_t> v(n);
-    for (int8_t &x : v)
-        x = static_cast<int8_t>(static_cast<int>(rng.below(256)) - 128);
-    return v;
-}
-
-void
-BM_DotBatchMultiI8(benchmark::State &state)
-{
-    // int8-storage counterpart of BM_DotBatchMulti at the same shape:
-    // the rows stream at a quarter of the fp32 bytes and dequantize
-    // in-register via the factored affine form (DESIGN.md §10).
-    const size_t rows = state.range(0), nq = state.range(1), d = 256;
-    const auto x = randomVec(nq * d, 1);
-    const auto m = randomVecI8(rows * d, 2);
-    std::vector<float> out(nq * rows);
-    for (auto _ : state) {
-        blas::dotBatchMultiI8(x.data(), nq, d, m.data(), rows, d, d,
-                              0.0123f, -0.456f, out.data(), rows);
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(state.iterations() * nq * rows * d);
-}
-BENCHMARK(BM_DotBatchMultiI8)
-    ->Args({512, 1})
-    ->Args({512, 4})
-    ->Args({512, 16});
-
-void
-BM_WeightedSumSkipMultiI8(benchmark::State &state)
-{
-    const size_t rows = state.range(0), nq = state.range(1), d = 256;
-    const float threshold = state.range(2) != 0 ? 0.1f : 0.f;
-    auto e = randomVec(nq * rows, 3);
-    for (float &v : e)
-        v = v * 0.5f + 0.5f; // positive exp-like weights
-    const auto m = randomVecI8(rows * d, 4);
-    std::vector<float> acc(nq * d, 0.f);
-    std::vector<double> s(nq);
-    for (auto _ : state) {
-        std::fill(s.begin(), s.end(), 0.0);
-        uint64_t kept = 0, skipped = 0;
-        blas::weightedSumSkipMultiI8(e.data(), nq, rows, m.data(),
-                                     rows, d, d, 0.0123f, -0.456f,
-                                     threshold, s.data(), acc.data(),
-                                     d, kept, skipped);
-        benchmark::DoNotOptimize(acc.data());
-        benchmark::DoNotOptimize(s.data());
-    }
-    state.SetItemsProcessed(state.iterations() * nq * rows * d);
-}
-BENCHMARK(BM_WeightedSumSkipMultiI8)
-    ->Args({512, 1, 0})
-    ->Args({512, 16, 0})
-    ->Args({512, 16, 1});
-
-void
-BM_WeightedSumSkip(benchmark::State &state)
-{
-    // threshold chosen against uniform exp values so roughly the
-    // paper's skip regime (most rows dropped) is exercised.
-    const size_t rows = state.range(0), d = 1024;
-    const float threshold = state.range(1) != 0 ? 0.1f : 0.f;
-    auto e = randomVec(rows, 3);
-    for (float &v : e)
-        v = v * 0.5f + 0.5f; // positive exp-like weights
-    const auto m = randomVec(rows * d, 4);
-    std::vector<float> acc(d, 0.f);
-    for (auto _ : state) {
-        double s = 0.0;
-        uint64_t kept = 0, skipped = 0;
-        blas::weightedSumSkip(e.data(), m.data(), rows, d, d, threshold,
-                              s, acc.data(), kept, skipped);
-        benchmark::DoNotOptimize(acc.data());
-        benchmark::DoNotOptimize(s);
-    }
-    state.SetItemsProcessed(state.iterations() * rows * d);
-}
-BENCHMARK(BM_WeightedSumSkip)->Args({1000, 0})->Args({1000, 1});
+BENCHMARK_CAPTURE(BM_DotBatchMulti, f32, blas::RowCodec::F32)
+    ->Args({512, 1})->Args({512, 4})->Args({512, 16});
+BENCHMARK_CAPTURE(BM_DotBatchMulti, bf16, blas::RowCodec::BF16)
+    ->Args({512, 1})->Args({512, 4})->Args({512, 16});
+BENCHMARK_CAPTURE(BM_DotBatchMulti, i8, blas::RowCodec::I8)
+    ->Args({512, 1})->Args({512, 4})->Args({512, 16});
+BENCHMARK_CAPTURE(BM_WeightedSumSkipMulti, f32, blas::RowCodec::F32)
+    ->Args({512, 1, 0})->Args({512, 16, 0})->Args({512, 16, 1});
+BENCHMARK_CAPTURE(BM_WeightedSumSkipMulti, bf16, blas::RowCodec::BF16)
+    ->Args({512, 1, 0})->Args({512, 16, 0})->Args({512, 16, 1});
+BENCHMARK_CAPTURE(BM_WeightedSumSkipMulti, i8, blas::RowCodec::I8)
+    ->Args({512, 1, 0})->Args({512, 16, 0})->Args({512, 16, 1});
 
 void
 BM_ExpInplace(benchmark::State &state)
@@ -319,54 +203,6 @@ BM_Gemv(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * rows * cols);
 }
 BENCHMARK(BM_Gemv)->Arg(1000)->Arg(10000);
-
-void
-BM_Gemm(benchmark::State &state)
-{
-    const size_t m = state.range(0), k = 48, n = 48;
-    const auto a = randomVec(m * k, 7);
-    const auto b = randomVec(k * n, 8);
-    std::vector<float> c(m * n);
-    for (auto _ : state) {
-        blas::gemm(a.data(), b.data(), c.data(), m, k, n);
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
-}
-BENCHMARK(BM_Gemm)->Arg(64)->Arg(512);
-
-// gemm with the embedding-sized inner dimension (d=1024): the shape
-// the trainer's projection layers stress.
-void
-BM_Gemm1024(benchmark::State &state)
-{
-    const size_t m = 64, k = 1024, n = 64;
-    const auto a = randomVec(m * k, 7);
-    const auto b = randomVec(k * n, 8);
-    std::vector<float> c(m * n);
-    for (auto _ : state) {
-        blas::gemm(a.data(), b.data(), c.data(), m, k, n);
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
-}
-BENCHMARK(BM_Gemm1024);
-
-void
-BM_Gemm1024Scalar(benchmark::State &state)
-{
-    const size_t m = 64, k = 1024, n = 64;
-    const auto a = randomVec(m * k, 7);
-    const auto b = randomVec(k * n, 8);
-    std::vector<float> c(m * n);
-    for (auto _ : state) {
-        blas::scalar::gemm(a.data(), b.data(), c.data(), m, k, n,
-                           false);
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
-}
-BENCHMARK(BM_Gemm1024Scalar);
 
 void
 BM_Softmax(benchmark::State &state)
@@ -506,10 +342,11 @@ appendTunerTable(const std::string &path)
 } // namespace
 
 /**
- * Like BENCHMARK_MAIN(), but defaults --benchmark_out to
- * ./BENCH_kernels.json (JSON format) so every run leaves a
- * machine-readable record (with the kernel-tuner table spliced in);
- * explicit --benchmark_out wins and is left untouched.
+ * Like BENCHMARK_MAIN(), but writes only to an explicit path: either
+ * --benchmark_out=... (left untouched) or the MNNFAST_BENCH_JSON
+ * environment variable, which becomes the JSON --benchmark_out with
+ * the kernel-tuner table spliced in. Exits 2 with neither, so a run
+ * can never overwrite a committed BENCH_kernels.json by accident.
  */
 int
 main(int argc, char **argv)
@@ -519,9 +356,17 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i)
         if (std::strncmp(argv[i], "--benchmark_out", 15) == 0)
             has_out = true;
-    std::string out_flag = "--benchmark_out=BENCH_kernels.json";
-    std::string fmt_flag = "--benchmark_out_format=json";
+    const char *json_path = std::getenv("MNNFAST_BENCH_JSON");
+    if (!has_out && (!json_path || json_path[0] == '\0')) {
+        std::fprintf(stderr, "usage: MNNFAST_BENCH_JSON=<path> "
+                             "micro_kernels [benchmark flags]\n"
+                             "   or: micro_kernels --benchmark_out=<path> "
+                             "[benchmark flags]\n");
+        return 2;
+    }
+    std::string out_flag, fmt_flag = "--benchmark_out_format=json";
     if (!has_out) {
+        out_flag = std::string("--benchmark_out=") + json_path;
         args.push_back(out_flag.data());
         args.push_back(fmt_flag.data());
     }
@@ -532,6 +377,6 @@ main(int argc, char **argv)
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     if (!has_out)
-        appendTunerTable("BENCH_kernels.json");
+        appendTunerTable(json_path);
     return 0;
 }

@@ -35,7 +35,8 @@
  *     (the straggler leg is reported but ungated — its tail is
  *     fault-schedule noise).
  *
- * Emits BENCH_cluster.json (path overridable via MNNFAST_BENCH_JSON).
+ * Writes its JSON (e.g. BENCH_cluster.json) only to the explicit path in
+ * MNNFAST_BENCH_JSON; exits 2 without one.
  *
  * Flags:
  *   --smoke       small KB, short schedule (CI)
@@ -419,6 +420,7 @@ main(int argc, char **argv)
     const double rate = args.floatOpt("rate", smoke ? 250.0 : 150.0);
     const uint64_t seed = args.sizeOpt("seed", 1234);
     args.finish();
+    const char *json_path = bench::requireJsonPath("serving_cluster");
 
     const size_t ns = smoke ? 4096 : 16384;
     const size_t ed = smoke ? 32 : 64;
@@ -589,8 +591,7 @@ main(int argc, char **argv)
     ptable.print();
 
     // ---- JSON -----------------------------------------------------
-    bench::JsonWriter json(
-        bench::benchJsonPath("BENCH_cluster.json"));
+    bench::JsonWriter json(json_path);
     json.beginObject();
     json.field("bench", "serving_cluster");
     json.key("config");

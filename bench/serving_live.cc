@@ -17,7 +17,8 @@
  *  4. report live and simulated throughput/latency side by side with
  *     the live/sim throughput ratio — the headline artifact.
  *
- * Emits BENCH_serving.json (path overridable via MNNFAST_BENCH_JSON).
+ * Writes its JSON (e.g. BENCH_serving.json) only to the explicit path in
+ * MNNFAST_BENCH_JSON; exits 2 without one.
  *
  * Flags:
  *   --smoke        tiny KB, short window, 2 points (CI leak check)
@@ -34,7 +35,6 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "bench_util.hh"
 #include "core/column_engine.hh"
 #include "serve/calibrate.hh"
 #include "serve/live_server.hh"
@@ -163,6 +163,7 @@ main(int argc, char **argv)
     double duration = args.floatOpt("duration", 1.0);
     const size_t workers = args.sizeOpt("workers", 1);
     args.finish();
+    const char *json_path = bench::requireJsonPath("serving_live");
 
     bench::banner("Live serving cross-validation",
                   "Open-loop load against the live runtime vs the "
@@ -294,8 +295,7 @@ main(int argc, char **argv)
     }
     table.print();
 
-    bench::JsonWriter json(
-        bench::benchJsonPath("BENCH_serving.json"));
+    bench::JsonWriter json(json_path);
     json.beginObject();
     json.key("kb");
     json.beginObject();

@@ -26,7 +26,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench_util.hh"
+#include "bench_common.hh"
 #include "fpga/accelerator.hh"
 #include "fpga/energy_model.hh"
 #include "sim/cpu_system.hh"

@@ -26,15 +26,12 @@ detail::KernelTable
 scalarTable()
 {
     return {
-        "scalar",        scalar::dot,          scalar::axpy,
-        scalar::scal,    scalar::sum,          scalar::maxElement,
-        scalar::dotBatch, scalar::dotBatchMulti,
-        scalar::weightedSumSkip,               scalar::weightedSumSkipMulti,
-        scalar::dotBatchMultiBf16,             scalar::weightedSumSkipMultiBf16,
-        scalar::dotBatchMultiI8,               scalar::weightedSumSkipMultiI8,
-        scalar::finiteRangeI8,                 scalar::quantizeI8,
+        "scalar",      scalar::dot,        scalar::axpy,
+        scalar::scal,  scalar::sum,        scalar::maxElement,
+        scalar::dotBatchMulti,             scalar::weightedSumSkipMulti,
+        scalar::finiteRangeI8,             scalar::quantizeI8,
         scalar::chunkBoundBatch,
-        scalar::gemm,    scalar::expInplace,   scalar::expShiftInplace,
+        scalar::expInplace,                scalar::expShiftInplace,
     };
 }
 
@@ -118,17 +115,9 @@ maxElement(const float *x, size_t n)
 }
 
 void
-dotBatch(const float *x, const float *rows, size_t count, size_t n,
-         size_t stride, float *out)
-{
-    mnn_assert(stride >= n, "dotBatch stride shorter than row length");
-    active().dotBatch(x, rows, count, n, stride, out);
-}
-
-void
-dotBatchMulti(const float *x, size_t nx, size_t xstride,
-              const float *rows, size_t count, size_t n, size_t stride,
-              float *out, size_t ostride)
+dotBatchMulti(const float *x, size_t nx, size_t xstride, const Rows &rows,
+              size_t count, size_t n, size_t stride, float *out,
+              size_t ostride)
 {
     mnn_assert(stride >= n && xstride >= n && ostride >= count,
                "dotBatchMulti stride shorter than row length");
@@ -137,20 +126,8 @@ dotBatchMulti(const float *x, size_t nx, size_t xstride,
 }
 
 void
-weightedSumSkip(const float *e, const float *rows, size_t count,
-                size_t n, size_t stride, float threshold,
-                double &running_sum, float *acc, uint64_t &kept,
-                uint64_t &skipped)
-{
-    mnn_assert(stride >= n,
-               "weightedSumSkip stride shorter than row length");
-    active().weightedSumSkip(e, rows, count, n, stride, threshold,
-                             running_sum, acc, kept, skipped);
-}
-
-void
 weightedSumSkipMulti(const float *e, size_t ne, size_t estride,
-                     const float *rows, size_t count, size_t n,
+                     const Rows &rows, size_t count, size_t n,
                      size_t stride, float threshold,
                      double *running_sums, float *acc, size_t accstride,
                      uint64_t &kept, uint64_t &skipped)
@@ -167,71 +144,6 @@ weightedSumSkipMulti(const float *e, size_t ne, size_t estride,
             e + q0 * estride, qb, estride, rows, count, n, stride,
             threshold, running_sums + q0, acc + q0 * accstride,
             accstride, kept, skipped);
-    }
-}
-
-void
-dotBatchMultiBf16(const float *x, size_t nx, size_t xstride,
-                  const uint16_t *rows, size_t count, size_t n,
-                  size_t stride, float *out, size_t ostride)
-{
-    mnn_assert(stride >= n && xstride >= n && ostride >= count,
-               "dotBatchMultiBf16 stride shorter than row length");
-    active().dotBatchMultiBf16(x, nx, xstride, rows, count, n, stride,
-                               out, ostride);
-}
-
-void
-weightedSumSkipMultiBf16(const float *e, size_t ne, size_t estride,
-                         const uint16_t *rows, size_t count, size_t n,
-                         size_t stride, float threshold,
-                         double *running_sums, float *acc,
-                         size_t accstride, uint64_t &kept,
-                         uint64_t &skipped)
-{
-    mnn_assert(stride >= n && accstride >= n && estride >= count,
-               "weightedSumSkipMultiBf16 stride shorter than row length");
-    // Same kWsumQueryTile split as the fp32 variant: the backend's
-    // kept-set scatter list is a fixed stack array.
-    for (size_t q0 = 0; q0 < ne; q0 += kWsumQueryTile) {
-        const size_t qb = std::min(kWsumQueryTile, ne - q0);
-        active().weightedSumSkipMultiBf16(
-            e + q0 * estride, qb, estride, rows, count, n, stride,
-            threshold, running_sums + q0, acc + q0 * accstride,
-            accstride, kept, skipped);
-    }
-}
-
-void
-dotBatchMultiI8(const float *x, size_t nx, size_t xstride,
-                const int8_t *rows, size_t count, size_t n,
-                size_t stride, float scale, float zero, float *out,
-                size_t ostride)
-{
-    mnn_assert(stride >= n && xstride >= n && ostride >= count,
-               "dotBatchMultiI8 stride shorter than row length");
-    active().dotBatchMultiI8(x, nx, xstride, rows, count, n, stride,
-                             scale, zero, out, ostride);
-}
-
-void
-weightedSumSkipMultiI8(const float *e, size_t ne, size_t estride,
-                       const int8_t *rows, size_t count, size_t n,
-                       size_t stride, float scale, float zero,
-                       float threshold, double *running_sums, float *acc,
-                       size_t accstride, uint64_t &kept,
-                       uint64_t &skipped)
-{
-    mnn_assert(stride >= n && accstride >= n && estride >= count,
-               "weightedSumSkipMultiI8 stride shorter than row length");
-    // Same kWsumQueryTile split as the f32/bf16 variants: the
-    // backend's kept-set scatter list is a fixed stack array.
-    for (size_t q0 = 0; q0 < ne; q0 += kWsumQueryTile) {
-        const size_t qb = std::min(kWsumQueryTile, ne - q0);
-        active().weightedSumSkipMultiI8(
-            e + q0 * estride, qb, estride, rows, count, n, stride,
-            scale, zero, threshold, running_sums + q0,
-            acc + q0 * accstride, accstride, kept, skipped);
     }
 }
 
@@ -262,7 +174,7 @@ chunkBoundBatch(const float *x, size_t nx, size_t xstride,
 void
 gemv(const float *a, size_t rows, size_t cols, const float *x, float *y)
 {
-    active().dotBatch(x, a, rows, cols, cols, y);
+    dotBatchMulti(x, 1, cols, Rows(a), rows, cols, cols, y, rows);
 }
 
 void
@@ -271,13 +183,6 @@ gemvT(const float *a, size_t rows, size_t cols, const float *x, float *y)
     zero(y, cols);
     for (size_t r = 0; r < rows; ++r)
         active().axpy(x[r], a + r * cols, y, cols);
-}
-
-void
-gemm(const float *a, const float *b, float *c,
-     size_t m, size_t k, size_t n, bool accumulate)
-{
-    active().gemm(a, b, c, m, k, n, accumulate);
 }
 
 void
@@ -299,24 +204,6 @@ softmax(float *x, size_t n)
         return;
     const float m = maxElement(x, n);
     expShiftInplace(x, n, m);
-    const float s = sum(x, n);
-    scal(1.0f / s, x, n);
-}
-
-void
-softmaxRaw(float *x, size_t n)
-{
-    if (n == 0)
-        return;
-    // e^x overflows float above ~88.7; past that the raw quotient is
-    // inf/inf = NaN. Route large-logit inputs through the shifted
-    // path, which is the same quotient algebraically.
-    const float m = maxElement(x, n);
-    if (m > 80.0f) {
-        expShiftInplace(x, n, m);
-    } else {
-        expInplace(x, n);
-    }
     const float s = sum(x, n);
     scal(1.0f / s, x, n);
 }

@@ -16,11 +16,15 @@
  * ("Kernel architecture & dispatch") for the dispatch policy and the
  * micro-kernel shapes.
  *
+ * The two knowledge-base streaming kernels, dotBatchMulti and
+ * weightedSumSkipMulti, have one body per backend, templated on the
+ * row codec (fp32, bf16 or int8 storage); a Rows view carries the
+ * codec, and the dispatch layer is the only place it selects an
+ * instantiation.
+ *
  * Conventions: all matrices are row-major, dimensions are given as
- * (rows, cols), and vectors are contiguous float arrays. Kernels never
- * allocate, with one exception: gemm keeps a thread-local packing
- * buffer for B panels (grows to kc x n floats and is reused across
- * calls).
+ * (rows, cols), and query vectors are contiguous float arrays. Kernels
+ * never allocate.
  */
 
 #ifndef MNNFAST_BLAS_KERNELS_HH
@@ -53,87 +57,105 @@ float sum(const float *x, size_t n);
 float maxElement(const float *x, size_t n);
 
 /**
- * Batched dot products of one vector against a strip of matrix rows:
- * out[r] = dot(x, rows + r * stride, n) for r in [0, count).
- *
- * This is the column engine's phase-1 kernel: the query vector x is
- * loaded once per register block and reused across four memory rows,
- * which roughly quarters the x-side load traffic compared with `count`
- * independent dot() calls. Requires stride >= n.
+ * Storage codec of a block of matrix rows: how one stored element
+ * widens to fp32. F32 rows are loaded as is, BF16 rows (uint16_t) are
+ * widened by a 16-bit shift, and I8 rows (int8_t) are widened exactly
+ * and then mapped through an affine code x = scale*q + zero. This is
+ * the knowledge base's storage precision (core::Precision is this
+ * type); the two streaming kernels below take it as a parameter, so
+ * every codec runs the same kernel body.
  */
-void dotBatch(const float *x, const float *rows, size_t count, size_t n,
-              size_t stride, float *out);
+enum class RowCodec : uint8_t {
+    F32,  ///< fp32 rows (reference; exact)
+    BF16, ///< bfloat16 rows (half the bytes, ~2^-8 relative rounding)
+    I8,   ///< int8 rows (quarter the bytes, affine code per row block)
+};
+
+/**
+ * A typed view of row-major matrix rows in one codec: the first row of
+ * a block plus, for I8, the (scale, zero) code every row of the block
+ * shares. Rows under different codes need separate views (and kernel
+ * calls); core::KnowledgeBase hands out one view per quantization
+ * group.
+ */
+struct Rows
+{
+    RowCodec codec;
+    const void *data; ///< first row's first element
+    float scale = 1.f; ///< I8 only
+    float zero = 0.f;  ///< I8 only
+
+    explicit Rows(const float *p) : codec(RowCodec::F32), data(p) {}
+    explicit Rows(const uint16_t *p) : codec(RowCodec::BF16), data(p) {}
+    Rows(const int8_t *p, float s, float z)
+        : codec(RowCodec::I8), data(p), scale(s), zero(z)
+    {}
+};
 
 /**
  * Query-blocked batched dot products: a tile of `nx` query rows
- * against a strip of `count` matrix rows,
+ * against a strip of `count` stored rows,
  *
- *   out[q * ostride + r] = dot(x + q * xstride, rows + r * stride, n)
+ *   out[q * ostride + r] = dot(x + q * xstride, row_r, n)
  *
- * for q in [0, nx), r in [0, count) — a small packed GEMM shaped for
- * the column engine's phase 1. The AVX2 backend register-tiles 2
- * queries x 4 rows, so each 8-wide row load feeds every query in the
- * tile and the per-query M_IN load traffic drops accordingly; the
- * engine-level strip blocking on top keeps a row strip cache-resident
- * across the whole batch, which is what amortizes the KB stream over
- * concurrent queries.
+ * for q in [0, nx), r in [0, count), where row_r is row r of `rows`
+ * (stride elements apart) widened to fp32 — the column engine's
+ * phase-1 kernel, a small packed GEMM. The AVX2 backend register-tiles
+ * 2 queries x 4 rows (1 x 8 for a lone query), so each row load and
+ * widen feeds every query in the tile; the engine-level strip blocking
+ * on top keeps a row strip cache-resident across the whole batch,
+ * which is what amortizes the KB stream over concurrent queries.
  *
- * Contract: per (q, r) pair the accumulation order is exactly that of
- * dotBatch, so the result is bit-identical to nx separate dotBatch
- * calls on the same backend (property-tested). Requires stride >= n
- * and xstride >= n; out rows must not alias the inputs.
+ * Accumulation contract: each (q, r) dot follows one canonical order —
+ * eight fp32 fma lanes over the 8-aligned body, a fixed pairwise lane
+ * reduction, then an fma tail — and both backends implement exactly
+ * that order, so scalar and AVX2 are **bit-identical** (property-
+ * tested) and results never depend on the tile shapes, the other
+ * queries in the call or how a sweep is split into calls. I8 rows are
+ * dotted raw and the affine code applied in the factored form
+ *
+ *   out[q][r] = fma(scale, rawdot(x_q, row_r), zero * qsum(x_q))
+ *
+ * where qsum is the same lane walk over x_q with adds; the inner loop
+ * stays at one fma per element. Requires stride >= n, xstride >= n and
+ * ostride >= count; out must not alias the inputs.
  */
 void dotBatchMulti(const float *x, size_t nx, size_t xstride,
-                   const float *rows, size_t count, size_t n,
+                   const Rows &rows, size_t count, size_t n,
                    size_t stride, float *out, size_t ostride);
 
 /**
- * Fused zero-skip weighted sum over a strip of rows (the column
- * engine's phase-3 kernel):
- *
- *   for r in [0, count):
- *       running_sum += e[r]
- *       if threshold > 0 and e[r] < threshold * running_sum:
- *           ++skipped                      // row never touched
- *       else:
- *           ++kept; acc += e[r] * rows[r]  // vectorized axpy
- *
- * Fusing the conservative skip test with the accumulation means a
- * skipped row costs one compare — its M_OUT row is never read and acc
- * is never written — which is what makes zero-skipping profitable on
- * a bandwidth-bound machine. Requires stride >= n; acc has n elements.
- * A threshold of 0 keeps every row (plain weighted sum).
- */
-void weightedSumSkip(const float *e, const float *rows, size_t count,
-                     size_t n, size_t stride, float threshold,
-                     double &running_sum, float *acc, uint64_t &kept,
-                     uint64_t &skipped);
-
-/**
- * Query-blocked zero-skip weighted sum: one pass over a strip of rows
- * updating `ne` accumulators at once. For each row r (ascending) and
- * each query q (ascending), with e_qr = e[q * estride + r]:
+ * Query-blocked fused zero-skip weighted sum: one pass over a strip
+ * of stored rows updating `ne` accumulators at once (the column
+ * engine's phase-3 kernel). For each row r (ascending) and each query
+ * q (ascending), with e_qr = e[q * estride + r]:
  *
  *   running_sums[q] += e_qr
  *   if threshold > 0 and e_qr < threshold * running_sums[q]:
  *       ++skipped                                  // acc[q] untouched
  *   else:
- *       ++kept; acc[q * accstride] += e_qr * row   // vectorized
+ *       ++kept; acc[q * accstride + i] =
+ *                   fma(e_qr, row_r[i], acc[q * accstride + i])
  *
- * A kept M_OUT row is loaded once and axpy'd into every keeping
- * query's accumulator while it is register/L1-hot, so per-query M_OUT
- * traffic shrinks by the batch size. The skip test and running sums
- * stay per-(query, row) scalar double arithmetic in both backends, so
- * skip decisions are bit-identical between SIMD and scalar paths, and
- * each query's accumulator is bit-identical to ne separate
- * weightedSumSkip calls on the same backend (property-tested).
+ * where row_r[i] is the widened element (for I8 the dequantized
+ * fma(scale, q, zero)). Fusing the conservative skip test with the
+ * accumulation means a skipped row costs one compare — its M_OUT row
+ * is never read — and a kept row is loaded once and accumulated into
+ * every keeping query while it is register/L1-hot. A threshold of 0
+ * keeps every row (the dense weighted sum).
  *
- * The backend processes queries in tiles of kWsumQueryTile; the
- * dispatch layer splits larger ne transparently. Requires stride >= n
- * and accstride >= n; e rows and acc rows must not alias.
+ * The skip test and running sums are per-(query, row) scalar double
+ * arithmetic and every accumulator update is one single-rounded fma
+ * per element in both backends, so scalar and AVX2 are
+ * **bit-identical**, skip decisions do not depend on the codec, and
+ * each query's result is independent of the other queries in the call
+ * and of how a sweep is split into calls (threading running_sums
+ * through). The dispatch layer tiles ne by kWsumQueryTile. Requires
+ * stride >= n, accstride >= n and estride >= count; e rows and acc
+ * rows must not alias.
  */
 void weightedSumSkipMulti(const float *e, size_t ne, size_t estride,
-                          const float *rows, size_t count, size_t n,
+                          const Rows &rows, size_t count, size_t n,
                           size_t stride, float threshold,
                           double *running_sums, float *acc,
                           size_t accstride, uint64_t &kept,
@@ -147,93 +169,51 @@ void weightedSumSkipMulti(const float *e, size_t ne, size_t estride,
  */
 inline constexpr size_t kWsumQueryTile = 16;
 
-/**
- * Query-blocked batched dot products over *bfloat16* matrix rows:
- * identical shape contract to dotBatchMulti, but `rows` holds bf16
- * elements (uint16_t) that are widened to fp32 in registers via a
- * 16-bit shift; queries and outputs stay fp32. This is the fused
- * dequantizing phase-1 kernel for BF16 knowledge bases: the row
- * stream is half the bytes of the fp32 kernel at the same arithmetic.
- *
- * Accumulation contract (stricter than the fp32 kernels): each
- * (q, r) dot follows one canonical order — eight fp32 fma lanes over
- * the 8-aligned body, a fixed pairwise lane reduction, then an fma
- * tail — and both backends implement exactly that order, so the
- * scalar and AVX2 bf16 backends are **bit-identical to each other**
- * (property-tested), not merely close. Requires stride >= n and
- * xstride >= n; out rows must not alias the inputs.
- */
-void dotBatchMultiBf16(const float *x, size_t nx, size_t xstride,
-                       const uint16_t *rows, size_t count, size_t n,
-                       size_t stride, float *out, size_t ostride);
+/** dotBatchMulti over fp32 rows. */
+inline void
+dotBatchMulti(const float *x, size_t nx, size_t xstride, const float *rows,
+              size_t count, size_t n, size_t stride, float *out,
+              size_t ostride)
+{
+    dotBatchMulti(x, nx, xstride, Rows(rows), count, n, stride, out,
+                  ostride);
+}
 
-/**
- * Query-blocked zero-skip weighted sum over *bfloat16* rows: identical
- * contract to weightedSumSkipMulti — per-(query, row) scalar double
- * skip tests, fp32 accumulators — but each kept row is widened from
- * bf16 in registers as it is accumulated. The e values (exp outputs)
- * remain fp32, so skip decisions are bit-identical to a run of
- * weightedSumSkipMulti over the widened rows. Every accumulator
- * update is a single-rounded fma per element in both backends, so the
- * scalar and AVX2 bf16 backends are bit-identical to each other.
- *
- * The dispatch layer tiles ne by kWsumQueryTile, like the fp32
- * kernel. Requires stride >= n and accstride >= n; e rows and acc
- * rows must not alias.
- */
-void weightedSumSkipMultiBf16(const float *e, size_t ne, size_t estride,
-                              const uint16_t *rows, size_t count,
-                              size_t n, size_t stride, float threshold,
-                              double *running_sums, float *acc,
-                              size_t accstride, uint64_t &kept,
-                              uint64_t &skipped);
+/** weightedSumSkipMulti over fp32 rows. */
+inline void
+weightedSumSkipMulti(const float *e, size_t ne, size_t estride,
+                     const float *rows, size_t count, size_t n,
+                     size_t stride, float threshold, double *running_sums,
+                     float *acc, size_t accstride, uint64_t &kept,
+                     uint64_t &skipped)
+{
+    weightedSumSkipMulti(e, ne, estride, Rows(rows), count, n, stride,
+                         threshold, running_sums, acc, accstride, kept,
+                         skipped);
+}
 
-/**
- * Query-blocked batched dot products over *int8* matrix rows sharing
- * one affine code (scale, zero): the stored row elements q dequantize
- * as scale*q + zero (see core::KnowledgeBase, DESIGN.md §10), and the
- * kernel computes out[q * ostride + r] = dot(x_q, scale*row_r + zero)
- * in the factored form
- *
- *   out[q][r] = fma(scale, rawdot(x_q, row_r), zero * qsum(x_q))
- *
- * where rawdot is the canonical bf16-style dot (eight fp32 fma lanes
- * over the 8-aligned body of the int8->fp32 widened row, the fixed
- * pairwise lane reduction, fma tail) and qsum is a canonical sum of
- * x_q (same lane walk with adds). The factoring keeps the inner loop
- * at one fma per element — the same arithmetic as the bf16 kernel on
- * a quarter of the f32 bytes — and both backends implement exactly
- * these orders, so scalar and AVX2 are **bit-identical** to each
- * other (property-tested), and results never depend on how a sweep is
- * split into calls. Rows in different quantization chunks need
- * separate calls (the engines split at KnowledgeBase::i8GroupEnd).
- * Requires stride >= n and xstride >= n; out must not alias inputs.
- */
-void dotBatchMultiI8(const float *x, size_t nx, size_t xstride,
-                     const int8_t *rows, size_t count, size_t n,
-                     size_t stride, float scale, float zero, float *out,
-                     size_t ostride);
+/** dotBatchMulti over int8 rows sharing one affine code. */
+inline void
+dotBatchMultiI8(const float *x, size_t nx, size_t xstride,
+                const int8_t *rows, size_t count, size_t n, size_t stride,
+                float scale, float zero, float *out, size_t ostride)
+{
+    dotBatchMulti(x, nx, xstride, Rows(rows, scale, zero), count, n,
+                  stride, out, ostride);
+}
 
-/**
- * Query-blocked zero-skip weighted sum over *int8* rows sharing one
- * affine code (scale, zero): identical contract to
- * weightedSumSkipMulti — per-(query, row) scalar double skip tests on
- * the fp32 e values, fp32 accumulators — but each kept row element is
- * dequantized in registers as fma(scale, float(q), zero) and
- * accumulated with a second single-rounded fma. Skip decisions are
- * bit-identical to the f32/bf16 kernels on the same e values, and the
- * scalar and AVX2 backends are bit-identical to each other.
- *
- * The dispatch layer tiles ne by kWsumQueryTile, like the other
- * variants. Requires stride >= n and accstride >= n; e rows and acc
- * rows must not alias.
- */
-void weightedSumSkipMultiI8(const float *e, size_t ne, size_t estride,
-                            const int8_t *rows, size_t count, size_t n,
-                            size_t stride, float scale, float zero,
-                            float threshold, double *running_sums,
-                            float *acc, size_t accstride,
-                            uint64_t &kept, uint64_t &skipped);
+/** weightedSumSkipMulti over int8 rows sharing one affine code. */
+inline void
+weightedSumSkipMultiI8(const float *e, size_t ne, size_t estride,
+                       const int8_t *rows, size_t count, size_t n,
+                       size_t stride, float scale, float zero,
+                       float threshold, double *running_sums, float *acc,
+                       size_t accstride, uint64_t &kept, uint64_t &skipped)
+{
+    weightedSumSkipMulti(e, ne, estride, Rows(rows, scale, zero), count,
+                         n, stride, threshold, running_sums, acc,
+                         accstride, kept, skipped);
+}
 
 /**
  * Fused finite check and range scan over n > 0 fp32 elements (the
@@ -296,7 +276,8 @@ void chunkBoundBatch(const float *x, size_t nx, size_t xstride,
 /**
  * Matrix-vector product: y = A * x.
  * A is (rows x cols) row-major; x has cols elements; y has rows.
- * Dispatches to dotBatch, so the x vector is reused across rows.
+ * Dispatches to dotBatchMulti with one query, so the x vector is
+ * reused across rows.
  */
 void gemv(const float *a, size_t rows, size_t cols,
           const float *x, float *y);
@@ -309,16 +290,6 @@ void gemv(const float *a, size_t rows, size_t cols,
  */
 void gemvT(const float *a, size_t rows, size_t cols,
            const float *x, float *y);
-
-/**
- * General matrix multiply: C = A * B (+ C if accumulate).
- * A is (m x k), B is (k x n), C is (m x n), all row-major.
- * The AVX2 backend packs B into 16-wide column panels and runs a
- * register-tiled 4x16 FMA micro-kernel; the scalar backend uses the
- * original 4-row strip blocking.
- */
-void gemm(const float *a, const float *b, float *c,
-          size_t m, size_t k, size_t n, bool accumulate = false);
 
 /** Elementwise e^x over a length-n vector, in place. */
 void expInplace(float *x, size_t n);
@@ -338,20 +309,6 @@ void expShiftInplace(float *x, size_t n, float shift);
  * with the standard max-subtraction guard.
  */
 void softmax(float *x, size_t n);
-
-/**
- * "Raw" softmax exactly as in the paper's Fig. 5 dataflow (exp then
- * divide by the plain sum, no max subtraction). Provided so the
- * column-based lazy softmax can be checked for *algebraic* equivalence
- * with the layer-at-a-time pipeline.
- *
- * Overflow guard: e^x overflows float above x ~ 88.7, turning the
- * normalization into inf/inf = NaN. When max(x) exceeds a safe bound
- * the computation is routed through the max-subtracted path, which is
- * algebraically identical (the shift cancels in the quotient); below
- * the bound the historical raw behaviour is bit-preserved.
- */
-void softmaxRaw(float *x, size_t n);
 
 /**
  * True when the runtime-dispatched SIMD backend is active (the CPU
@@ -378,40 +335,15 @@ void axpy(float alpha, const float *x, float *y, size_t n);
 void scal(float alpha, float *x, size_t n);
 float sum(const float *x, size_t n);
 float maxElement(const float *x, size_t n);
-void dotBatch(const float *x, const float *rows, size_t count, size_t n,
-              size_t stride, float *out);
 void dotBatchMulti(const float *x, size_t nx, size_t xstride,
-                   const float *rows, size_t count, size_t n,
+                   const Rows &rows, size_t count, size_t n,
                    size_t stride, float *out, size_t ostride);
-void weightedSumSkip(const float *e, const float *rows, size_t count,
-                     size_t n, size_t stride, float threshold,
-                     double &running_sum, float *acc, uint64_t &kept,
-                     uint64_t &skipped);
 void weightedSumSkipMulti(const float *e, size_t ne, size_t estride,
-                          const float *rows, size_t count, size_t n,
+                          const Rows &rows, size_t count, size_t n,
                           size_t stride, float threshold,
                           double *running_sums, float *acc,
                           size_t accstride, uint64_t &kept,
                           uint64_t &skipped);
-void dotBatchMultiBf16(const float *x, size_t nx, size_t xstride,
-                       const uint16_t *rows, size_t count, size_t n,
-                       size_t stride, float *out, size_t ostride);
-void weightedSumSkipMultiBf16(const float *e, size_t ne, size_t estride,
-                              const uint16_t *rows, size_t count,
-                              size_t n, size_t stride, float threshold,
-                              double *running_sums, float *acc,
-                              size_t accstride, uint64_t &kept,
-                              uint64_t &skipped);
-void dotBatchMultiI8(const float *x, size_t nx, size_t xstride,
-                     const int8_t *rows, size_t count, size_t n,
-                     size_t stride, float scale, float zero, float *out,
-                     size_t ostride);
-void weightedSumSkipMultiI8(const float *e, size_t ne, size_t estride,
-                            const int8_t *rows, size_t count, size_t n,
-                            size_t stride, float scale, float zero,
-                            float threshold, double *running_sums,
-                            float *acc, size_t accstride,
-                            uint64_t &kept, uint64_t &skipped);
 bool finiteRangeI8(const float *x, size_t n, float &lo, float &hi);
 void quantizeI8(const float *x, size_t n, float scale, float zero,
                 int8_t *q);
@@ -419,8 +351,6 @@ void chunkBoundBatch(const float *x, size_t nx, size_t xstride,
                      const float *lo, const float *hi, size_t count,
                      size_t n, size_t stride, float *out,
                      size_t ostride);
-void gemm(const float *a, const float *b, float *c,
-          size_t m, size_t k, size_t n, bool accumulate);
 void expInplace(float *x, size_t n);
 void expShiftInplace(float *x, size_t n, float shift);
 

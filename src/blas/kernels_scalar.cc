@@ -2,10 +2,13 @@
  * @file
  * Portable scalar reference kernels (namespace blas::scalar).
  *
- * These are the seed implementations, kept verbatim as the dispatch
- * fallback and as the ground truth the SIMD backend is property-tested
- * against. Hand-unrolled four-wide so the compiler can keep multiple
- * dependency chains in flight even without explicit vector code.
+ * The dispatch fallback and the ground truth the SIMD backend is
+ * property-tested against. The single-vector reductions are
+ * hand-unrolled four-wide so the compiler can keep multiple dependency
+ * chains in flight even without explicit vector code; the
+ * knowledge-base streaming kernels replay the AVX2 backend's canonical
+ * 8-lane order element for element, one body per operation for every
+ * row codec.
  */
 
 #include <algorithm>
@@ -14,8 +17,7 @@
 #include <limits>
 
 #include "blas/kernels.hh"
-#include "util/bf16.hh"
-#include "util/logging.hh"
+#include "blas/kernels_detail.hh"
 
 namespace mnnfast::blas::scalar {
 
@@ -76,116 +78,94 @@ maxElement(const float *x, size_t n)
     return m;
 }
 
-void
-dotBatch(const float *x, const float *rows, size_t count, size_t n,
-         size_t stride, float *out)
-{
-    for (size_t r = 0; r < count; ++r)
-        out[r] = dot(x, rows + r * stride, n);
-}
-
-void
-dotBatchMulti(const float *x, size_t nx, size_t xstride,
-              const float *rows, size_t count, size_t n, size_t stride,
-              float *out, size_t ostride)
-{
-    // The reference path is the per-query loop the query-blocked
-    // backends must match bit-for-bit.
-    for (size_t q = 0; q < nx; ++q)
-        dotBatch(x + q * xstride, rows, count, n, stride,
-                 out + q * ostride);
-}
-
-void
-weightedSumSkip(const float *e, const float *rows, size_t count,
-                size_t n, size_t stride, float threshold,
-                double &running_sum, float *acc, uint64_t &kept,
-                uint64_t &skipped)
-{
-    double s = running_sum;
-    for (size_t r = 0; r < count; ++r) {
-        const float ev = e[r];
-        s += ev;
-        if (threshold > 0.f && double(ev) < double(threshold) * s) {
-            ++skipped;
-            continue;
-        }
-        ++kept;
-        axpy(ev, rows + r * stride, acc, n);
-    }
-    running_sum = s;
-}
-
-void
-weightedSumSkipMulti(const float *e, size_t ne, size_t estride,
-                     const float *rows, size_t count, size_t n,
-                     size_t stride, float threshold,
-                     double *running_sums, float *acc, size_t accstride,
-                     uint64_t &kept, uint64_t &skipped)
-{
-    // Queries are independent (separate running sums and
-    // accumulators), so the per-query reference loop is the
-    // definition the query-blocked backend must reproduce exactly.
-    for (size_t q = 0; q < ne; ++q)
-        weightedSumSkip(e + q * estride, rows, count, n, stride,
-                        threshold, running_sums[q], acc + q * accstride,
-                        kept, skipped);
-}
-
 namespace {
 
 /**
- * Canonical bf16 dot product (see kernels.hh): eight fp32 fma lanes
- * over the 8-aligned body (lane j holds elements i with i % 8 == j),
- * the fixed pairwise lane reduction of the AVX2 hsum, then an fma
- * tail. std::fma single-rounds exactly like the vector fmadd, so this
- * scalar walk is bit-identical to the AVX2 backend's 8-lane chain.
+ * The fixed pairwise reduction of eight lanes — the AVX2 hsum8's exact
+ * association.
  */
 float
-dotBf16One(const float *x, const uint16_t *row, size_t n)
+hsum8(const float *lane)
+{
+    return ((lane[0] + lane[4]) + (lane[2] + lane[6]))
+         + ((lane[1] + lane[5]) + (lane[3] + lane[7]));
+}
+
+/**
+ * Canonical raw dot (see kernels.hh): eight fp32 fma lanes over the
+ * 8-aligned body of the widened row (lane j holds elements i with
+ * i % 8 == j), hsum8, then an fma tail. std::fma single-rounds exactly
+ * like the vector fmadd and widening is exact, so this scalar walk is
+ * bit-identical to the AVX2 backend's 8-lane chain for every codec.
+ */
+template <class T>
+float
+rawDot(const float *x, const T *row, size_t n)
 {
     float lane[8] = {0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f};
     size_t i = 0;
     for (; i + 8 <= n; i += 8) {
         for (size_t j = 0; j < 8; ++j)
-            lane[j] = std::fma(x[i + j], bf16ToFloat(row[i + j]),
+            lane[j] = std::fma(x[i + j], detail::widen(row[i + j]),
                                lane[j]);
     }
-    // The AVX2 horizontal sum's exact association.
-    float r = ((lane[0] + lane[4]) + (lane[2] + lane[6]))
-            + ((lane[1] + lane[5]) + (lane[3] + lane[7]));
+    float r = hsum8(lane);
     for (; i < n; ++i)
-        r = std::fma(x[i], bf16ToFloat(row[i]), r);
+        r = std::fma(x[i], detail::widen(row[i]), r);
     return r;
 }
 
-} // namespace
+/**
+ * Canonical query sum for the factored affine dot: the same 8-lane
+ * walk and pairwise reduction as the dot chains, with plain adds (the
+ * AVX2 backend's vertical add + hsum8 is exactly this).
+ */
+float
+querySum(const float *x, size_t n)
+{
+    float lane[8] = {0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f};
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        for (size_t j = 0; j < 8; ++j)
+            lane[j] += x[i + j];
+    }
+    float r = hsum8(lane);
+    for (; i < n; ++i)
+        r += x[i];
+    return r;
+}
 
+template <class T>
 void
-dotBatchMultiBf16(const float *x, size_t nx, size_t xstride,
-                  const uint16_t *rows, size_t count, size_t n,
-                  size_t stride, float *out, size_t ostride)
+dotBody(const float *x, size_t nx, size_t xstride, const T *rows,
+        size_t count, size_t n, size_t stride, float scale, float zero,
+        float *out, size_t ostride)
 {
     for (size_t q = 0; q < nx; ++q) {
+        const float *xq = x + q * xstride;
+        // zero * qsum(x_q) is a per-query constant, so the combine
+        // depends only on (x_q, row, scale, zero) — sweep splits and
+        // tile shapes can never change bits.
+        const float qs = detail::kAffine<T> ? zero * querySum(xq, n) : 0.f;
         for (size_t r = 0; r < count; ++r)
-            out[q * ostride + r] =
-                dotBf16One(x + q * xstride, rows + r * stride, n);
+            out[q * ostride + r] = detail::finishDot<T>(
+                rawDot(xq, rows + r * stride, n), scale, qs);
     }
 }
 
+template <class T>
 void
-weightedSumSkipMultiBf16(const float *e, size_t ne, size_t estride,
-                         const uint16_t *rows, size_t count, size_t n,
-                         size_t stride, float threshold,
-                         double *running_sums, float *acc,
-                         size_t accstride, uint64_t &kept,
-                         uint64_t &skipped)
+weightedSumBody(const float *e, size_t ne, size_t estride, const T *rows,
+                size_t count, size_t n, size_t stride, float scale,
+                float zero, float threshold, double *running_sums,
+                float *acc, size_t accstride, uint64_t &kept,
+                uint64_t &skipped)
 {
-    // Same per-(query, row) scalar-double skip arithmetic as the fp32
-    // kernel; each accumulator element takes one single-rounded fma,
-    // so the update is bit-identical to the AVX2 backend's fmadd.
+    // Per-(query, row) scalar-double skip arithmetic; each element
+    // takes the codec's dequantization (one fma for I8) plus one
+    // accumulate fma, both single-rounded like the AVX2 fmadds.
     for (size_t r = 0; r < count; ++r) {
-        const uint16_t *row = rows + r * stride;
+        const T *row = rows + r * stride;
         for (size_t q = 0; q < ne; ++q) {
             const float ev = e[q * estride + r];
             const double s = running_sums[q] + ev;
@@ -197,108 +177,37 @@ weightedSumSkipMultiBf16(const float *e, size_t ne, size_t estride,
             ++kept;
             float *dst = acc + q * accstride;
             for (size_t i = 0; i < n; ++i)
-                dst[i] = std::fma(ev, bf16ToFloat(row[i]), dst[i]);
+                dst[i] = std::fma(ev, detail::dequant(row[i], scale, zero),
+                                  dst[i]);
         }
     }
-}
-
-namespace {
-
-/**
- * Canonical raw int8 dot: the bf16 lane walk over the exactly-widened
- * int8 elements (int8 -> fp32 is lossless, matching the AVX2 cvt
- * pair), so lane j holds fma chains of x[i]*float(row[i]). The affine
- * code is applied by the caller in the factored form of kernels.hh.
- */
-float
-dotI8RawOne(const float *x, const int8_t *row, size_t n)
-{
-    float lane[8] = {0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f};
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        for (size_t j = 0; j < 8; ++j)
-            lane[j] = std::fma(x[i + j],
-                               static_cast<float>(row[i + j]), lane[j]);
-    }
-    float r = ((lane[0] + lane[4]) + (lane[2] + lane[6]))
-            + ((lane[1] + lane[5]) + (lane[3] + lane[7]));
-    for (; i < n; ++i)
-        r = std::fma(x[i], static_cast<float>(row[i]), r);
-    return r;
-}
-
-/**
- * Canonical query sum for the i8 factored dot: the same 8-lane walk
- * and pairwise reduction as the dot chains, with plain adds (the AVX2
- * backend's vertical add + hsum8 is exactly this).
- */
-float
-querySumOne(const float *x, size_t n)
-{
-    float lane[8] = {0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f};
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        for (size_t j = 0; j < 8; ++j)
-            lane[j] += x[i + j];
-    }
-    float r = ((lane[0] + lane[4]) + (lane[2] + lane[6]))
-            + ((lane[1] + lane[5]) + (lane[3] + lane[7]));
-    for (; i < n; ++i)
-        r += x[i];
-    return r;
 }
 
 } // namespace
 
 void
-dotBatchMultiI8(const float *x, size_t nx, size_t xstride,
-                const int8_t *rows, size_t count, size_t n,
-                size_t stride, float scale, float zero, float *out,
-                size_t ostride)
+dotBatchMulti(const float *x, size_t nx, size_t xstride, const Rows &rows,
+              size_t count, size_t n, size_t stride, float *out,
+              size_t ostride)
 {
-    for (size_t q = 0; q < nx; ++q) {
-        const float *xq = x + q * xstride;
-        // zero * qsum(x_q) is a per-query constant, so the combine
-        // below depends only on (x_q, row, scale, zero) — sweep
-        // splits and tile shapes can never change bits.
-        const float qs = zero * querySumOne(xq, n);
-        for (size_t r = 0; r < count; ++r)
-            out[q * ostride + r] =
-                std::fma(scale, dotI8RawOne(xq, rows + r * stride, n),
-                         qs);
-    }
+    detail::withRowType(rows, [&](const auto *p) {
+        dotBody(x, nx, xstride, p, count, n, stride, rows.scale,
+                rows.zero, out, ostride);
+    });
 }
 
 void
-weightedSumSkipMultiI8(const float *e, size_t ne, size_t estride,
-                       const int8_t *rows, size_t count, size_t n,
-                       size_t stride, float scale, float zero,
-                       float threshold, double *running_sums, float *acc,
-                       size_t accstride, uint64_t &kept,
-                       uint64_t &skipped)
+weightedSumSkipMulti(const float *e, size_t ne, size_t estride,
+                     const Rows &rows, size_t count, size_t n,
+                     size_t stride, float threshold,
+                     double *running_sums, float *acc, size_t accstride,
+                     uint64_t &kept, uint64_t &skipped)
 {
-    // Same per-(query, row) scalar-double skip arithmetic as the
-    // f32/bf16 kernels; each element takes one dequant fma plus one
-    // accumulate fma, both single-rounded like the AVX2 fmadds.
-    for (size_t r = 0; r < count; ++r) {
-        const int8_t *row = rows + r * stride;
-        for (size_t q = 0; q < ne; ++q) {
-            const float ev = e[q * estride + r];
-            const double s = running_sums[q] + ev;
-            running_sums[q] = s;
-            if (threshold > 0.f && double(ev) < double(threshold) * s) {
-                ++skipped;
-                continue;
-            }
-            ++kept;
-            float *dst = acc + q * accstride;
-            for (size_t i = 0; i < n; ++i) {
-                const float ri =
-                    std::fma(scale, static_cast<float>(row[i]), zero);
-                dst[i] = std::fma(ev, ri, dst[i]);
-            }
-        }
-    }
+    detail::withRowType(rows, [&](const auto *p) {
+        weightedSumBody(e, ne, estride, p, count, n, stride, rows.scale,
+                        rows.zero, threshold, running_sums, acc,
+                        accstride, kept, skipped);
+    });
 }
 
 bool
@@ -371,8 +280,7 @@ chunkBoundOne(const float *x, const float *lo, const float *hi, size_t n)
             lane[j] += (a > b) ? a : b;
         }
     }
-    float r = ((lane[0] + lane[4]) + (lane[2] + lane[6]))
-            + ((lane[1] + lane[5]) + (lane[3] + lane[7]));
+    float r = hsum8(lane);
     for (; i < n; ++i) {
         const float a = x[i] * hi[i];
         const float b = x[i] * lo[i];
@@ -393,59 +301,6 @@ chunkBoundBatch(const float *x, size_t nx, size_t xstride,
         for (size_t c = 0; c < count; ++c)
             out[q * ostride + c] =
                 chunkBoundOne(xq, lo + c * stride, hi + c * stride, n);
-    }
-}
-
-namespace {
-
-// Blocked inner kernel: accumulate a (4 x n) strip of C from a
-// (4 x kc) strip of A and a (kc x n) panel of B.
-void
-gemmStrip4(const float *a, const float *b, float *c,
-           size_t kc, size_t n, size_t lda, size_t ldb, size_t ldc)
-{
-    for (size_t p = 0; p < kc; ++p) {
-        const float a0 = a[0 * lda + p];
-        const float a1 = a[1 * lda + p];
-        const float a2 = a[2 * lda + p];
-        const float a3 = a[3 * lda + p];
-        const float *brow = b + p * ldb;
-        for (size_t j = 0; j < n; ++j) {
-            const float bj = brow[j];
-            c[0 * ldc + j] += a0 * bj;
-            c[1 * ldc + j] += a1 * bj;
-            c[2 * ldc + j] += a2 * bj;
-            c[3 * ldc + j] += a3 * bj;
-        }
-    }
-}
-
-} // namespace
-
-void
-gemm(const float *a, const float *b, float *c,
-     size_t m, size_t k, size_t n, bool accumulate)
-{
-    if (!accumulate) {
-        for (size_t r = 0; r < m; ++r)
-            std::memset(c + r * n, 0, n * sizeof(float));
-    }
-
-    // Panel size along k chosen so a B panel (kc x n) of a typical
-    // MemNN layer stays resident in L1/L2 while four C rows accumulate.
-    constexpr size_t kc_block = 256;
-
-    size_t r = 0;
-    for (; r + 4 <= m; r += 4) {
-        for (size_t p0 = 0; p0 < k; p0 += kc_block) {
-            const size_t kc = std::min(kc_block, k - p0);
-            gemmStrip4(a + r * k + p0, b + p0 * n, c + r * n,
-                       kc, n, k, n, n);
-        }
-    }
-    for (; r < m; ++r) {
-        for (size_t p = 0; p < k; ++p)
-            axpy(a[r * k + p], b + p * n, c + r * n, n);
     }
 }
 

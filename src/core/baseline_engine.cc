@@ -71,45 +71,15 @@ BaselineEngine::inferBatch(const float *u, size_t nq, float *o)
     const size_t grain = std::max(kStep1Grain, plan.stripRows);
 
     timer.start();
-    switch (kb.precision()) {
-      case Precision::F32: {
-        const float *min = kb.minData();
-        runtime::parallelForDynamic(
-            pool, ns, grain, [&](size_t, runtime::Range r) {
-                blas::dotBatchMulti(u, nq, ed, min + r.begin * ed,
-                                    r.size(), ed, ed,
-                                    tin.data() + r.begin, ns);
+    // One kernel call per storage group inside each claimed block, so
+    // every call carries a single typed row view.
+    runtime::parallelForDynamic(
+        pool, ns, grain, [&](size_t, runtime::Range r) {
+            kb.forEachGroup(r.begin, r.end, [&](size_t g0, size_t g1) {
+                blas::dotBatchMulti(u, nq, ed, kb.minRows(g0), g1 - g0,
+                                    ed, ed, tin.data() + g0, ns);
             });
-        break;
-      }
-      case Precision::BF16: {
-        const uint16_t *min = kb.minData16();
-        runtime::parallelForDynamic(
-            pool, ns, grain, [&](size_t, runtime::Range r) {
-                blas::dotBatchMultiBf16(u, nq, ed, min + r.begin * ed,
-                                        r.size(), ed, ed,
-                                        tin.data() + r.begin, ns);
-            });
-        break;
-      }
-      case Precision::I8: {
-        // One kernel call per quantization group inside each claimed
-        // block, so every call carries a single (scale, zero) pair.
-        const int8_t *min = kb.minData8();
-        runtime::parallelForDynamic(
-            pool, ns, grain, [&](size_t, runtime::Range r) {
-                for (size_t g0 = r.begin; g0 < r.end;) {
-                    const size_t g1 = std::min(r.end, kb.i8GroupEnd(g0));
-                    blas::dotBatchMultiI8(u, nq, ed, min + g0 * ed,
-                                          g1 - g0, ed, ed,
-                                          kb.minScale(g0), kb.minZero(g0),
-                                          tin.data() + g0, ns);
-                    g0 = g1;
-                }
-            });
-        break;
-      }
-    }
+        });
     timer.stop();
     times.innerProduct += timer.seconds();
     counterGroup["flops_inner"].add(2ull * nq * ns * ed);
@@ -159,63 +129,21 @@ BaselineEngine::inferBatch(const float *u, size_t nq, float *o)
         scratch.reset();
         float *partial = scratch.floats(parts * nq * ed);
         blas::zero(partial, parts * nq * ed);
-        switch (kb.precision()) {
-          case Precision::F32: {
-            const float *mout = kb.moutData();
-            runtime::parallelForParts(
-                pool, ns, parts, [&](size_t part, runtime::Range r) {
-                    float *acc = partial + part * nq * ed;
-                    for (size_t i = r.begin; i < r.end; ++i) {
-                        const float *row = mout + i * ed;
-                        for (size_t q = 0; q < nq; ++q)
-                            blas::axpy(p[q * ns + i], row, acc + q * ed,
-                                       ed);
-                    }
-                });
-            break;
-          }
-          case Precision::BF16: {
-            // The fused bf16 kernel with threshold 0 is exactly the
-            // dense weighted sum (nothing skips); its running sums are
-            // write-only here, claimed per part so parts stay
-            // independent.
-            const uint16_t *mout = kb.moutData16();
-            double *sums = scratch.doubles(parts * nq);
-            std::fill(sums, sums + parts * nq, 0.0);
-            runtime::parallelForParts(
-                pool, ns, parts, [&](size_t part, runtime::Range r) {
-                    uint64_t kept = 0, skipped = 0;
-                    blas::weightedSumSkipMultiBf16(
-                        p.data() + r.begin, nq, ns, mout + r.begin * ed,
-                        r.size(), ed, ed, 0.f, sums + part * nq,
+        // The fused weighted sum with threshold 0 is exactly the dense
+        // weighted sum (nothing skips); its running sums are
+        // write-only here, claimed per part so parts stay independent.
+        double *sums = scratch.doubles(parts * nq);
+        std::fill(sums, sums + parts * nq, 0.0);
+        runtime::parallelForParts(
+            pool, ns, parts, [&](size_t part, runtime::Range r) {
+                uint64_t kept = 0, skipped = 0;
+                kb.forEachGroup(r.begin, r.end, [&](size_t g0, size_t g1) {
+                    blas::weightedSumSkipMulti(
+                        p.data() + g0, nq, ns, kb.moutRows(g0), g1 - g0,
+                        ed, ed, 0.f, sums + part * nq,
                         partial + part * nq * ed, ed, kept, skipped);
                 });
-            break;
-          }
-          case Precision::I8: {
-            // Same fused-with-threshold-0 trick as bf16, split at
-            // quantization-group boundaries like step 1.
-            const int8_t *mout = kb.moutData8();
-            double *sums = scratch.doubles(parts * nq);
-            std::fill(sums, sums + parts * nq, 0.0);
-            runtime::parallelForParts(
-                pool, ns, parts, [&](size_t part, runtime::Range r) {
-                    uint64_t kept = 0, skipped = 0;
-                    for (size_t g0 = r.begin; g0 < r.end;) {
-                        const size_t g1 =
-                            std::min(r.end, kb.i8GroupEnd(g0));
-                        blas::weightedSumSkipMultiI8(
-                            p.data() + g0, nq, ns, mout + g0 * ed,
-                            g1 - g0, ed, ed, kb.moutScale(g0),
-                            kb.moutZero(g0), 0.f, sums + part * nq,
-                            partial + part * nq * ed, ed, kept,
-                            skipped);
-                        g0 = g1;
-                    }
-                });
-            break;
-          }
-        }
+            });
         blas::zero(o, nq * ed);
         for (size_t part = 0; part < parts; ++part)
             blas::axpy(1.0f, partial + part * nq * ed, o, nq * ed);

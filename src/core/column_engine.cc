@@ -177,41 +177,14 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
 {
     const size_t ed = kb.dim();
     const size_t chunk = cfg.chunkSize;
-    // Storage precision decides which fused kernels sweep the chunk;
-    // everything else (strips, prefetch pacing, scratch, merge) is
-    // precision-agnostic. Row prefetch distance shrinks with the
-    // element size, so bf16 halves and i8 quarters both the streamed
-    // and the prefetched bytes per row. The i8 sweeps additionally
-    // split kernel calls at quantization-group boundaries
-    // (kb.i8GroupEnd) so each call carries one (scale, zero) pair;
-    // the split points cannot change results (see kernels.hh).
-    const Precision prec = kb.precision();
-    const float *min = nullptr, *mout = nullptr;
-    const uint16_t *min16 = nullptr, *mout16 = nullptr;
-    const int8_t *min8 = nullptr, *mout8 = nullptr;
-    switch (prec) {
-      case Precision::F32:
-        min = kb.minData();
-        mout = kb.moutData();
-        break;
-      case Precision::BF16:
-        min16 = kb.minData16();
-        mout16 = kb.moutData16();
-        break;
-      case Precision::I8:
-        min8 = kb.minData8();
-        mout8 = kb.moutData8();
-        break;
-    }
-    // Prefetch addressing is precision-agnostic given the byte view.
-    const char *min_bytes = reinterpret_cast<const char *>(
-        min ? static_cast<const void *>(min)
-            : min16 ? static_cast<const void *>(min16)
-                    : static_cast<const void *>(min8));
-    const char *mout_bytes = reinterpret_cast<const char *>(
-        mout ? static_cast<const void *>(mout)
-             : mout16 ? static_cast<const void *>(mout16)
-                      : static_cast<const void *>(mout8));
+    // Storage precision reaches the kernels only through the KB's typed
+    // row views; everything else (strips, prefetch pacing, scratch,
+    // merge) is precision-agnostic. Row prefetch distance shrinks with
+    // the element size, so bf16 halves and i8 quarters both the
+    // streamed and the prefetched bytes per row. Kernel calls split at
+    // storage-group boundaries (kb.forEachGroup; the i8 quantization
+    // groups) so each call carries one view; the split points cannot
+    // change results (see kernels.hh).
     const size_t row_bytes = ed * kb.elemBytes();
     const size_t pf = plan.prefetchStride;
     // The strip has two jobs: pacing the next-chunk prefetch (pf > 0)
@@ -292,6 +265,11 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
             if (!any)
                 next_len = 0;
         }
+        const char *next_min = nullptr, *next_mout = nullptr;
+        if (next_len > 0) {
+            next_min = static_cast<const char *>(kb.minRows(c1).data);
+            next_mout = static_cast<const char *>(kb.moutRows(c1).data);
+        }
 
         // Partial selection runs the identical three phases over a
         // compacted question sub-batch: gather the selected questions'
@@ -327,30 +305,11 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
         for (size_t s0 = 0; s0 < len; s0 += strip) {
             const size_t s1 = std::min(s0 + strip, len);
             for (size_t i = s0; i < std::min(s1, next_len); ++i)
-                prefetchBytes(min_bytes + (c1 + i) * row_bytes,
-                              row_bytes, pf);
-            switch (prec) {
-              case Precision::F32:
-                blas::dotBatchMulti(uu, nb, ed, min + (c0 + s0) * ed,
-                                    s1 - s0, ed, ed, t + s0, chunk);
-                break;
-              case Precision::BF16:
-                blas::dotBatchMultiBf16(uu, nb, ed,
-                                        min16 + (c0 + s0) * ed,
-                                        s1 - s0, ed, ed, t + s0, chunk);
-                break;
-              case Precision::I8:
-                for (size_t g0 = s0; g0 < s1;) {
-                    const size_t g1 =
-                        std::min(s1, kb.i8GroupEnd(c0 + g0) - c0);
-                    blas::dotBatchMultiI8(
-                        uu, nb, ed, min8 + (c0 + g0) * ed, g1 - g0, ed,
-                        ed, kb.minScale(c0 + g0), kb.minZero(c0 + g0),
-                        t + g0, chunk);
-                    g0 = g1;
-                }
-                break;
-            }
+                prefetchBytes(next_min + i * row_bytes, row_bytes, pf);
+            kb.forEachGroup(c0 + s0, c0 + s1, [&](size_t g0, size_t g1) {
+                blas::dotBatchMulti(uu, nb, ed, kb.minRows(g0), g1 - g0,
+                                    ed, ed, t + (g0 - c0), chunk);
+            });
         }
         out.tInner += phase_timer.seconds();
 
@@ -388,33 +347,12 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
         for (size_t s0 = 0; s0 < len; s0 += strip) {
             const size_t s1 = std::min(s0 + strip, len);
             for (size_t i = s0; i < std::min(s1, next_len); ++i)
-                prefetchBytes(mout_bytes + (c1 + i) * row_bytes,
-                              row_bytes, pf);
-            switch (prec) {
-              case Precision::F32:
-                blas::weightedSumSkipMulti(t + s0, nb, chunk,
-                                           mout + (c0 + s0) * ed,
-                                           s1 - s0, ed, ed, th, psum,
-                                           acc, ed, kept, skipped);
-                break;
-              case Precision::BF16:
-                blas::weightedSumSkipMultiBf16(
-                    t + s0, nb, chunk, mout16 + (c0 + s0) * ed, s1 - s0,
+                prefetchBytes(next_mout + i * row_bytes, row_bytes, pf);
+            kb.forEachGroup(c0 + s0, c0 + s1, [&](size_t g0, size_t g1) {
+                blas::weightedSumSkipMulti(
+                    t + (g0 - c0), nb, chunk, kb.moutRows(g0), g1 - g0,
                     ed, ed, th, psum, acc, ed, kept, skipped);
-                break;
-              case Precision::I8:
-                for (size_t g0 = s0; g0 < s1;) {
-                    const size_t g1 =
-                        std::min(s1, kb.i8GroupEnd(c0 + g0) - c0);
-                    blas::weightedSumSkipMultiI8(
-                        t + g0, nb, chunk, mout8 + (c0 + g0) * ed,
-                        g1 - g0, ed, ed, kb.moutScale(c0 + g0),
-                        kb.moutZero(c0 + g0), th, psum, acc, ed,
-                        kept, skipped);
-                    g0 = g1;
-                }
-                break;
-            }
+            });
         }
         out.tWsum += phase_timer.seconds();
 

@@ -387,4 +387,41 @@ KnowledgeBase::i8GroupEnd(size_t i) const
     return std::min(next - vrowOff, count);
 }
 
+size_t
+KnowledgeBase::groupEnd(size_t i) const
+{
+    return prec == Precision::I8 ? i8GroupEnd(i) : count;
+}
+
+blas::Rows
+KnowledgeBase::minRows(size_t i) const
+{
+    mnn_assert(i < count, "M_IN row out of range");
+    switch (prec) {
+      case Precision::F32:
+        return blas::Rows(minData() + i * ed);
+      case Precision::BF16:
+        return blas::Rows(minData16() + i * ed);
+      case Precision::I8:
+        return blas::Rows(minData8() + i * ed, minScale(i), minZero(i));
+    }
+    panic("unknown Precision %d", static_cast<int>(prec));
+}
+
+blas::Rows
+KnowledgeBase::moutRows(size_t i) const
+{
+    mnn_assert(i < count, "M_OUT row out of range");
+    switch (prec) {
+      case Precision::F32:
+        return blas::Rows(moutData() + i * ed);
+      case Precision::BF16:
+        return blas::Rows(moutData16() + i * ed);
+      case Precision::I8:
+        return blas::Rows(moutData8() + i * ed, moutScale(i),
+                          moutZero(i));
+    }
+    panic("unknown Precision %d", static_cast<int>(prec));
+}
+
 } // namespace mnnfast::core

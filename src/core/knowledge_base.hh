@@ -7,10 +7,12 @@
 #ifndef MNNFAST_CORE_KNOWLEDGE_BASE_HH
 #define MNNFAST_CORE_KNOWLEDGE_BASE_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "blas/kernels.hh"
 #include "util/aligned_buffer.hh"
 
 namespace mnnfast::core {
@@ -24,13 +26,12 @@ namespace mnnfast::core {
  * upconvert on the fly. I8 halves the stream again: rows are stored
  * as int8 under a per-chunk affine code (x ~ scale*q + zero, q in
  * [-128, 127]) and the fused i8 kernels dequantize on the fly. F32 is
- * the default and the accuracy reference. See DESIGN.md §7 and §10.
+ * the default and the accuracy reference. The precision is the blas
+ * row codec the streaming kernels are templated on, so a KB's rows
+ * reach the kernels as a typed view (KnowledgeBase::minRows) with no
+ * per-precision branch at the call site. See DESIGN.md §5, §7, §10.
  */
-enum class Precision {
-    F32,  ///< fp32 rows (reference; exact)
-    BF16, ///< bfloat16 rows (half the bytes, ~2^-8 relative rounding)
-    I8,   ///< int8 rows (quarter the bytes, per-chunk affine code)
-};
+using Precision = blas::RowCodec;
 
 /** Display name: "f32", "bf16" or "i8". */
 const char *precisionName(Precision p);
@@ -191,6 +192,33 @@ class KnowledgeBase
     size_t i8GroupEnd(size_t i) const;
 
     /**
+     * Typed M_IN row view for the blas streaming kernels, starting at
+     * row i and valid through the end of row i's storage group (the
+     * rows that share row i's storage code: the whole KB for F32/BF16,
+     * up to i8GroupEnd(i) for I8); forEachGroup yields those ranges.
+     */
+    blas::Rows minRows(size_t i) const;
+
+    /** Typed M_OUT row view, as minRows. */
+    blas::Rows moutRows(size_t i) const;
+
+    /**
+     * Call f(g0, g1) for each storage group [g0, g1) covering rows
+     * [begin, end), in ascending order: the kernel-call split that
+     * gives every call one minRows()/moutRows() view.
+     */
+    template <class F>
+    void
+    forEachGroup(size_t begin, size_t end, F &&f) const
+    {
+        for (size_t g0 = begin; g0 < end;) {
+            const size_t g1 = std::min(end, groupEnd(g0));
+            f(g0, g1);
+            g0 = g1;
+        }
+    }
+
+    /**
      * Total bytes held by M_IN + M_OUT (for footprint and traffic
      * reporting): element size honest, not hard-coded fp32. The I8
      * per-chunk scale/zero metadata (16 bytes per i8ChunkRows() rows)
@@ -199,6 +227,13 @@ class KnowledgeBase
     size_t bytes() const { return 2 * count * ed * elemBytes(); }
 
   private:
+    /**
+     * End of row i's storage group: the first row after i whose
+     * storage code may differ, clamped to size(). The whole KB is one
+     * group in F32/BF16 mode; in I8 mode this is i8GroupEnd(i).
+     */
+    size_t groupEnd(size_t i) const;
+
     void grow(size_t min_capacity);
     const float *minScalesPtr() const;
     const float *minZerosPtr() const;

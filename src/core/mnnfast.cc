@@ -213,26 +213,11 @@ MnnFastSystem::explain(const data::Sentence &question, size_t top_k)
 
     // Exact hop-0 attention (stable softmax).
     std::vector<float> p(ns);
-    switch (kbs[0].precision()) {
-      case Precision::F32:
-        blas::gemv(kbs[0].minData(), ns, ed, u.data(), p.data());
-        break;
-      case Precision::BF16:
-        blas::dotBatchMultiBf16(u.data(), 1, ed, kbs[0].minData16(), ns,
-                                ed, ed, p.data(), ns);
-        break;
-      case Precision::I8:
-        // One call per quantization group, as in the engines.
-        for (size_t g0 = 0; g0 < ns;) {
-            const size_t g1 = kbs[0].i8GroupEnd(g0);
-            blas::dotBatchMultiI8(u.data(), 1, ed,
-                                  kbs[0].minData8() + g0 * ed, g1 - g0,
-                                  ed, ed, kbs[0].minScale(g0),
-                                  kbs[0].minZero(g0), p.data() + g0, ns);
-            g0 = g1;
-        }
-        break;
-    }
+    const KnowledgeBase &kb = kbs[0];
+    kb.forEachGroup(0, ns, [&](size_t g0, size_t g1) {
+        blas::dotBatchMulti(u.data(), 1, ed, kb.minRows(g0), g1 - g0, ed,
+                            ed, p.data() + g0, ns);
+    });
     blas::softmax(p.data(), ns);
 
     std::vector<Attribution> all(ns);

@@ -152,29 +152,26 @@ struct Workbench
 {
     size_t ed, nq;
     size_t rows; // rows per half-block, L2-overflowing (kTuneHalfBytes)
+    size_t rowBytes;
     std::vector<float> queries;
     std::vector<float> out;
     AlignedBuffer<float> rows32;
     AlignedBuffer<float> rows32b; ///< "bound" hi rows (rows32 = lo)
     AlignedBuffer<uint16_t> rows16;
     AlignedBuffer<int8_t> rows8;
-
-    static size_t
-    rowBytes(const std::string &precision, size_t ed)
-    {
-        // "bound" streams a lo+hi fp32 pair per summarized chunk.
-        return ed
-             * (precision == "bound" ? 8
-                : precision == "f32" ? 4
-                : precision == "bf16" ? 2
-                                      : 1);
-    }
+    /** The KB-shaped block's row 0 (unused by "bound"). */
+    blas::Rows block{static_cast<const float *>(nullptr)};
 
     Workbench(const std::string &precision, size_t ed_, size_t nq_)
         : ed(ed_), nq(nq_)
     {
-        const size_t row_bytes = rowBytes(precision, ed);
-        rows = std::clamp(kTuneHalfBytes / row_bytes, kTuneRowsMin,
+        // "bound" streams a lo+hi fp32 pair per summarized chunk.
+        rowBytes = ed
+                 * (precision == "bound" ? 8
+                    : precision == "f32" ? 4
+                    : precision == "bf16" ? 2
+                                          : 1);
+        rows = std::clamp(kTuneHalfBytes / rowBytes, kTuneRowsMin,
                           kTuneRowsMax);
         rows = rows / 4 * 4;
         XorShiftRng rng(12345);
@@ -187,6 +184,7 @@ struct Workbench
             rows32.allocate(elems);
             for (size_t i = 0; i < elems; ++i)
                 rows32.data()[i] = rng.uniformRange(-1.f, 1.f);
+            block = blas::Rows(rows32.data());
             if (precision == "bound") {
                 rows32b.allocate(elems);
                 for (size_t i = 0; i < elems; ++i)
@@ -197,12 +195,21 @@ struct Workbench
             for (size_t i = 0; i < elems; ++i)
                 rows16.data()[i] =
                     bf16FromFloat(rng.uniformRange(-1.f, 1.f));
+            block = blas::Rows(rows16.data());
         } else {
             rows8.allocate(elems);
             for (size_t i = 0; i < elems; ++i)
                 rows8.data()[i] = static_cast<int8_t>(
                     static_cast<int>(rng.below(255)) - 127);
+            block = blas::Rows(rows8.data(), 0.01f, 0.5f);
         }
+    }
+
+    /** Bytes of the KB-shaped block from row r on. */
+    const char *
+    rowAt(size_t r) const
+    {
+        return static_cast<const char *>(block.data) + r * rowBytes;
     }
 
     /**
@@ -213,7 +220,6 @@ struct Workbench
     double
     pass(const std::string &precision, const KernelPlan &plan)
     {
-        const size_t row_bytes = rowBytes(precision, ed);
         Timer timer;
         for (size_t half = 0; half < 2; ++half) {
             const size_t base = half * rows;
@@ -224,40 +230,23 @@ struct Workbench
                 if (precision == "bound") {
                     for (size_t i = s0; i < s1; ++i) {
                         prefetchPaced(rows32.data() + (next + i) * ed,
-                                      row_bytes / 2,
-                                      plan.prefetchStride);
+                                      rowBytes / 2, plan.prefetchStride);
                         prefetchPaced(rows32b.data() + (next + i) * ed,
-                                      row_bytes / 2,
-                                      plan.prefetchStride);
+                                      rowBytes / 2, plan.prefetchStride);
                     }
                     blas::chunkBoundBatch(
                         queries.data(), nq, ed,
                         rows32.data() + (base + s0) * ed,
                         rows32b.data() + (base + s0) * ed, s1 - s0, ed,
                         ed, o, rows);
-                } else if (precision == "f32") {
-                    for (size_t i = s0; i < s1; ++i)
-                        prefetchPaced(rows32.data() + (next + i) * ed,
-                                      row_bytes, plan.prefetchStride);
-                    blas::dotBatchMulti(queries.data(), nq, ed,
-                                        rows32.data() + (base + s0) * ed,
-                                        s1 - s0, ed, ed, o, rows);
-                } else if (precision == "bf16") {
-                    for (size_t i = s0; i < s1; ++i)
-                        prefetchPaced(rows16.data() + (next + i) * ed,
-                                      row_bytes, plan.prefetchStride);
-                    blas::dotBatchMultiBf16(
-                        queries.data(), nq, ed,
-                        rows16.data() + (base + s0) * ed, s1 - s0, ed,
-                        ed, o, rows);
                 } else {
                     for (size_t i = s0; i < s1; ++i)
-                        prefetchPaced(rows8.data() + (next + i) * ed,
-                                      row_bytes, plan.prefetchStride);
-                    blas::dotBatchMultiI8(
-                        queries.data(), nq, ed,
-                        rows8.data() + (base + s0) * ed, s1 - s0, ed,
-                        ed, 0.01f, 0.5f, o, rows);
+                        prefetchPaced(rowAt(next + i), rowBytes,
+                                      plan.prefetchStride);
+                    blas::Rows strip = block;
+                    strip.data = rowAt(base + s0);
+                    blas::dotBatchMulti(queries.data(), nq, ed, strip,
+                                        s1 - s0, ed, ed, o, rows);
                 }
             }
         }

@@ -66,6 +66,16 @@ for preset in "${presets[@]}"; do
         grep -q '^tuner_measured 0$' "${tdir}/imported.txt"
         rm -rf "${tdir}"
     fi
+    # The serving benchmark (perfbench/) is its own CMake project that
+    # builds src/ from this checkout, so the presets above never
+    # compile it; build it and run its self-tests as CI's release job
+    # does, so a library API change cannot break it unseen.
+    if [ "${preset}" = "release" ]; then
+        echo "==> preset: ${preset} (serving benchmark build and self-tests)"
+        cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release
+        cmake --build build-perfbench --target perfbench -j "${jobs}"
+        ./build-perfbench/perfbench --selftest
+    fi
     # Routed-attention smoke: the top-k ablation's k=all leg asserts
     # bit-identity with the unrouted engine across every storage
     # precision, and its sharded leg asserts routed scatter/gather
