@@ -576,17 +576,22 @@ ClusterFrontEnd::waitBatch(uint64_t ticket)
     std::unique_ptr<InFlight> fl;
     {
         std::unique_lock<std::mutex> lock(mutex);
-        mnn_assert(!window.empty()
-                       && window.front()->requestId == ticket,
-                   "cluster tickets must be waited in submission "
-                   "order");
+        mnn_assert(std::any_of(window.begin(), window.end(),
+                               [&](const auto &w) {
+                                   return w->requestId == ticket;
+                               }),
+                   "waited cluster ticket is not in flight");
+        // Only this waiter retires `ticket`, so the window is
+        // non-empty until it does.
         doneCv.wait(lock, [&] {
-            return window.front()->remainingShards == 0;
+            return window.front()->requestId == ticket
+                   && window.front()->remainingShards == 0;
         });
         fl = std::move(window.front());
         window.pop_front();
     }
     windowCv.notify_one();
+    doneCv.notify_all(); // the next ticket's waiter may be at the head
 
     // Merge outside the lock: no fetch thread references this slot
     // once its remainingShards hit zero (ordered by the mutex).
@@ -639,6 +644,14 @@ ClusterFrontEnd::inferBatch(const float *u, size_t nq, size_t ed,
                             float *o)
 {
     return waitBatch(submitBatch(u, nq, ed, o));
+}
+
+BatchResult
+ClusterFrontEnd::inferBatch(size_t lane, const float *u, size_t nq,
+                            size_t ed, float *o)
+{
+    mnn_assert(lane < lanes(), "cluster lane out of range");
+    return inferBatch(u, nq, ed, o);
 }
 
 serve::LatencySnapshot

@@ -18,10 +18,11 @@
  *
  *   submitBatch() appends an in-flight slot to the window (blocking
  *   while the window is full) and enqueues one job per shard on that
- *   shard's fetch thread; waitBatch() retires the window head once
- *   all of its shards settled. Each fetch thread *sends ahead*: the
- *   active job and every job queued behind it go on the wire
- *   immediately (once per connection, oldest first), so the node
+ *   shard's fetch thread; waitBatch() blocks until its ticket is the
+ *   window head and all of its shards settled, then retires it. Each
+ *   fetch thread *sends ahead*: the active job and every job queued
+ *   behind it go on the wire immediately (once per connection, oldest
+ *   first), so the node
  *   computes batch k+1 while the gather of batch k is still in
  *   flight — the network round trip and the remote compute both come
  *   off the pipeline's critical path. Responses are matched by
@@ -36,7 +37,10 @@
  *   batch cannot pre-expire the batches queued behind it.
  *
  *   inferBatch() is submitBatch() + waitBatch() back to back — the
- *   serial special case, unchanged behavior at pipelineDepth 1.
+ *   serial special case, unchanged behavior at pipelineDepth 1. It
+ *   is also the serve::BatchBackend lane call: the front end exposes
+ *   pipelineDepth lanes, so W threads each running inferBatch keep W
+ *   batches in flight, and batches still retire in FIFO order.
  *
  * Failure handling (production-honest, per shard):
  *
@@ -148,8 +152,8 @@ struct ShardFetcher;
 }
 
 /** Pipelined scatter/gather client over N shard nodes. See file
- *  header. Implements serve::BatchBackend so serve::LiveServer can
- *  dispatch through it. */
+ *  header. Implements serve::BatchBackend (one lane per window slot)
+ *  so serve::LiveServer can dispatch through it. */
 class ClusterFrontEnd : public serve::BatchBackend
 {
   public:
@@ -171,28 +175,36 @@ class ClusterFrontEnd : public serve::BatchBackend
      * questions) to every shard, answering into `o` (nq x ed) when
      * retired. Blocks while pipelineDepth batches are in flight.
      * Both buffers must stay valid until waitBatch returns for the
-     * ticket. One submitter thread at a time.
+     * ticket. Thread-safe; tickets are issued in admission order.
      */
     uint64_t submitBatch(const float *u, size_t nq, size_t ed,
-                         float *o) override;
+                         float *o);
 
     /**
-     * Block until `ticket`'s batch settled on every shard, merge, and
-     * retire it. Tickets must be waited in submission order (the
-     * window head); one waiter thread at a time — which may be a
-     * different thread than the submitter.
+     * Block until `ticket` is the window head and its batch settled on
+     * every shard, then merge and retire it. Batches retire strictly
+     * in submission order, so a thread that waits a later ticket
+     * before an earlier one it submitted itself deadlocks; distinct
+     * threads may wait distinct tickets concurrently.
      */
-    BatchResult waitBatch(uint64_t ticket) override;
+    BatchResult waitBatch(uint64_t ticket);
 
     /** submitBatch + waitBatch back to back (the serial path). */
     BatchResult inferBatch(const float *u, size_t nq, size_t ed,
                            float *o);
 
+    /** The BatchBackend lane call: inferBatch on behalf of `lane`. */
+    BatchResult inferBatch(size_t lane, const float *u, size_t nq,
+                           size_t ed, float *o) override;
+
+    /** One lane per window slot. */
+    size_t lanes() const override { return pipelineDepth(); }
+
     /** Shard count (== cfg.replicas.size()). */
     size_t shardCount() const;
 
     /** The configured in-flight window (clamped to >= 1). */
-    size_t pipelineDepth() const override;
+    size_t pipelineDepth() const;
 
     /** Merged latency + per-shard RPC counter snapshot; safe to call
      *  while batches are in flight. */
@@ -246,7 +258,7 @@ class ClusterFrontEnd : public serve::BatchBackend
 
     mutable std::mutex mutex; ///< window, job queues, recorder, stop
     std::condition_variable workCv;   ///< fetch threads: jobs / stop
-    std::condition_variable doneCv;   ///< waitBatch: shard completions
+    std::condition_variable doneCv;   ///< waitBatch: completions, head
     std::condition_variable windowCv; ///< submitBatch: slot freed
     std::deque<std::unique_ptr<InFlight>> window;
     bool stopping = false;

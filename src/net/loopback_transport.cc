@@ -45,24 +45,30 @@ struct LoopbackPipe
 
     std::weak_ptr<LoopbackPipe> peer;
 
+    /**
+     * Stop accepting sends. A graceful close (the sender's own
+     * close(), like a socket's FIN) keeps the messages already sent
+     * deliverable: the reader drains them, then reads Closed. An
+     * abortive one loses them — that is what distinguishes a broken
+     * connection from slow delivery, and what the failover path must
+     * survive.
+     */
     void
-    closeLocked(std::unique_lock<std::mutex> &lock)
+    closeLocked(std::unique_lock<std::mutex> &lock, bool graceful)
     {
         closed = true;
-        // A broken connection loses its in-flight messages — that is
-        // what distinguishes a disconnect from slow delivery, and it
-        // is what the failover path must survive.
-        messages.clear();
+        if (!graceful)
+            messages.clear();
         lock.unlock();
         cv.notify_all();
     }
 
     void
-    close()
+    close(bool graceful)
     {
         std::unique_lock<std::mutex> lock(mutex);
-        if (!closed)
-            closeLocked(lock);
+        if (!closed || !graceful)
+            closeLocked(lock, graceful);
     }
 };
 
@@ -208,7 +214,7 @@ LoopbackChannel::send(const Frame &frame)
 
         if (broke) {
             peerToClose = p.peer.lock();
-            p.closeLocked(lock);
+            p.closeLocked(lock, /*graceful=*/false);
             // Fall through to close the other direction below.
         } else if (!lost) {
             detail::LoopbackMessage msg;
@@ -225,7 +231,7 @@ LoopbackChannel::send(const Frame &frame)
         }
     }
     if (peerToClose)
-        peerToClose->close();
+        peerToClose->close(/*graceful=*/false);
     // A lost message is a successful send from the caller's view (the
     // bytes left the host); a disconnect is not.
     return !peerToClose;
@@ -254,8 +260,8 @@ LoopbackChannel::recv(Frame &out, NetClock::time_point deadline)
             // Copy the wake time before waiting: wait_until keeps a
             // *reference* to its time_point across the unlocked wait,
             // and std::min would hand it one inside the multiset node
-            // — which a concurrent close() (it clears the queue) can
-            // free mid-wait.
+            // — which a concurrent abortive close (it clears the
+            // queue) can free mid-wait.
             const NetClock::time_point wake =
                 std::min(head.deliverAt, deadline);
             recvPipe->cv.wait_until(lock, wake);
@@ -273,12 +279,13 @@ void
 LoopbackChannel::close()
 {
     // Closing one side breaks the connection both ways, like a socket
-    // close: the peer's next recv (after its buffer drains — which a
-    // loopback close empties) reports Closed.
+    // close: the peer's sends fail at once, and its recv drains the
+    // frames this side already sent before it reports Closed. Unread
+    // input on this side is discarded.
     if (sendPipe)
-        sendPipe->close();
+        sendPipe->close(/*graceful=*/true);
     if (recvPipe)
-        recvPipe->close();
+        recvPipe->close(/*graceful=*/false);
 }
 
 std::vector<FaultEvent>

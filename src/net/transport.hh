@@ -25,10 +25,13 @@
  *  - send either queues/writes the whole frame (true) or reports the
  *    channel broken (false). Sends never reorder within a channel;
  *    delivery order across *channels* is unspecified.
- *  - close() is idempotent; after it, send fails and recv returns
- *    Closed once buffered input is exhausted (transports may discard
- *    buffered input on close — callers must not rely on post-close
- *    drains).
+ *  - close() is idempotent and graceful: after it, send fails, and
+ *    frames this side already sent stay deliverable to the peer,
+ *    whose recv drains them and then returns Closed (a fire-and-close
+ *    Shutdown frame lands). Input this side has not read yet may be
+ *    discarded — callers must not rely on post-close drains of their
+ *    own channel. Injected faults (loopback disconnectProb) stay
+ *    abortive and lose in-flight frames.
  *  - Channels are *not* thread-safe: one thread sends and receives on
  *    a channel at a time (the cluster code gives each shard fetch its
  *    own channels). Listener::accept and Transport::connect are

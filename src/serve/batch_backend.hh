@@ -1,30 +1,30 @@
 /**
  * @file
- * The serving-side contract for a pipelined batch execution backend —
- * the seam that lets serve::LiveServer dispatch through a remote
- * cluster front end without the serve library depending on net/.
+ * The serving-side contract for a batch execution backend — the one
+ * seam every serve::LiveServer mode runs through, which also lets the
+ * server dispatch to a remote cluster front end without the serve
+ * library depending on net/.
  *
- * A BatchBackend executes question batches asynchronously with a
- * bounded in-flight window:
+ * A BatchBackend executes question batches on a fixed number of
+ * *lanes*. LiveServer runs one worker-pull loop per lane: the loop
+ * pops a batch only when its lane is free and answers it with one
+ * synchronous inferBatch(lane, ...) call, so at most lanes() batches
+ * are out of the admission queue at any instant.
  *
- *   submitBatch() hands over a batch and returns a ticket, blocking
- *   only while the backend's window is full — that block is the
- *   serving-side backpressure that keeps the bounded admission queue
- *   upstream absorbing (and eventually refusing) arrivals.
+ * Implementations:
  *
- *   waitBatch() blocks until the ticket's batch has settled and
- *   reports what happened; tickets MUST be waited in submission
- *   order (the window is a FIFO: completion order is delivery order,
- *   whatever order the shards answered in).
+ *  - LiveServer's private in-process backend: `workers` lanes over
+ *    one full-KB ColumnEngine each (replicated mode), or one lane
+ *    over a ShardedEngine (sharded mode);
+ *  - net::ClusterFrontEnd: pipelineDepth lanes sharing one in-flight
+ *    window, so W lanes keep W batches scattered at once and the
+ *    scatter of batch k+1 overlaps the gather of batch k. Its
+ *    lossless path is bit-identical to an in-process ShardedEngine
+ *    over the same partition.
  *
- * The canonical implementation is net::ClusterFrontEnd, whose
- * lossless path is bit-identical to an in-process ShardedEngine over
- * the same partition; LiveServer's dispatch/retire loops are written
- * against this interface only.
- *
- * Threading contract: one thread submits, one thread waits — the two
- * may be (and in LiveServer are) different threads, overlapping the
- * scatter of batch k+1 with the gather of batch k.
+ * Threading contract: each lane is driven by at most one thread at a
+ * time; distinct lanes may be driven concurrently. countersInto() may
+ * be called from any thread while lanes run.
  */
 
 #ifndef MNNFAST_SERVE_BATCH_BACKEND_HH
@@ -45,33 +45,28 @@ struct BatchResult
     /** Shards merged into the answer; 0 means the batch failed and
      *  the output buffer was not written. */
     uint32_t shardsAnswered = 0;
-    /** Bit s set = shard s contributed to the merged answer. */
+    /** Bit s set = remote shard s contributed to the merged answer;
+     *  zero for in-process execution. */
     uint32_t shardMask = 0;
 };
 
-/** Asynchronous batch executor with a bounded window. See header. */
+/** Lane-parallel synchronous batch executor. See header. */
 class BatchBackend
 {
   public:
     virtual ~BatchBackend() = default;
 
-    /**
-     * Submit one batch: `u` (nq x ed questions, row-major) to be
-     * answered into `o` (nq x ed). Both buffers must stay valid until
-     * the returned ticket is waited. Blocks while the in-flight
-     * window is full.
-     */
-    virtual uint64_t submitBatch(const float *u, size_t nq, size_t ed,
-                                 float *o) = 0;
+    /** Lanes that may run batches concurrently (>= 1). */
+    virtual size_t lanes() const = 0;
 
     /**
-     * Block until `ticket`'s batch settled; `o` is written iff
-     * shardsAnswered > 0. Tickets must be waited in submission order.
+     * Answer one batch on `lane` (< lanes()): `u` holds nq x ed
+     * questions row-major, `o` receives nq x ed answers and is
+     * written iff the result's shardsAnswered > 0. Blocks until the
+     * batch settled.
      */
-    virtual BatchResult waitBatch(uint64_t ticket) = 0;
-
-    /** The in-flight window size W (>= 1). */
-    virtual size_t pipelineDepth() const = 0;
+    virtual BatchResult inferBatch(size_t lane, const float *u,
+                                   size_t nq, size_t ed, float *o) = 0;
 
     /**
      * Fold the backend's *counters* — per-shard RPC counters, partial

@@ -134,7 +134,7 @@ class LatencyRecorder
 
     /**
      * Mutable RPC counters of shard `s` (the vector grows on demand).
-     * Single-writer like the histograms: the owning dispatch loop
+     * Single-writer like the histograms: the recorder's owner
      * updates, aggregation happens via mergeInto.
      */
     RpcShardCounters &rpcShard(size_t s);

@@ -3,6 +3,9 @@
 #include <cstring>
 #include <utility>
 
+#include "core/column_engine.hh"
+#include "core/sharded_engine.hh"
+#include "core/sharded_knowledge_base.hh"
 #include "util/logging.hh"
 
 namespace mnnfast::serve {
@@ -16,66 +19,94 @@ secondsBetween(std::chrono::steady_clock::time_point a,
     return std::chrono::duration<double>(b - a).count();
 }
 
+/**
+ * The in-process backend: one lane per replicated ColumnEngine, or
+ * one lane over a ShardedEngine whose pool scatters each batch across
+ * `workers` threads (see the file header of live_server.hh).
+ */
+class LocalBackend final : public BatchBackend
+{
+  public:
+    LocalBackend(const core::KnowledgeBase &kb,
+                 const LiveServerConfig &cfg)
+    {
+        if (cfg.workers == 0)
+            fatal("live server needs a nonzero worker count");
+        if (kb.size() == 0)
+            fatal("live server needs a non-empty knowledge base");
+        if (cfg.shards >= 2) {
+            // The lane blocks inside the scatter, so the active
+            // thread count matches the replicated mode's.
+            sharding = std::make_unique<core::ShardedKnowledgeBase>(
+                kb, cfg.engine.chunkSize, cfg.shards);
+            core::EngineConfig ecfg = cfg.engine;
+            ecfg.threads = cfg.workers;
+            engines.push_back(
+                std::make_unique<core::ShardedEngine>(*sharding, ecfg));
+        } else {
+            engines.reserve(cfg.workers);
+            for (size_t i = 0; i < cfg.workers; ++i)
+                engines.push_back(
+                    std::make_unique<core::ColumnEngine>(kb, cfg.engine));
+        }
+    }
+
+    size_t lanes() const override { return engines.size(); }
+
+    BatchResult
+    inferBatch(size_t lane, const float *u, size_t nq, size_t /*ed*/,
+               float *o) override
+    {
+        engines[lane]->inferBatch(u, nq, o);
+        // The whole KB answered: in-process execution never fails.
+        return BatchResult{true, 1, 0};
+    }
+
+    void countersInto(LatencyRecorder & /*acc*/) const override {}
+
+  private:
+    /** The shard partition (sharded mode only; the engine points at
+     *  it). */
+    std::unique_ptr<core::ShardedKnowledgeBase> sharding;
+    std::vector<std::unique_ptr<core::InferenceEngine>> engines;
+};
+
 } // namespace
 
 LiveServer::LiveServer(const core::KnowledgeBase &kb,
                        const LiveServerConfig &cfg)
-    : kb(&kb), backend(nullptr), ed(kb.dim()), cfg(cfg),
-      timeoutNs(std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::duration<double>(cfg.batchTimeout))),
-      queue(cfg.queueCapacity),
-      pool(cfg.shards >= 2 ? 1 : cfg.workers)
+    : LiveServer(std::make_unique<LocalBackend>(kb, cfg), nullptr,
+                 kb.dim(), cfg)
 {
-    if (cfg.maxBatch == 0 || cfg.workers == 0)
-        fatal("live server needs a nonzero batch cap and worker count");
-    if (cfg.batchTimeout < 0.0)
-        fatal("batch timeout must be non-negative");
-    if (kb.size() == 0)
-        fatal("live server needs a non-empty knowledge base");
-
-    if (sharded()) {
-        // One dispatch loop scattering each batch across the worker
-        // pool, one shard per worker (see file header). The dispatch
-        // loop blocks inside the scatter, so the active thread count
-        // matches the replicated mode's.
-        sharding = std::make_unique<core::ShardedKnowledgeBase>(
-            kb, cfg.engine.chunkSize, cfg.shards);
-        core::EngineConfig ecfg = cfg.engine;
-        ecfg.threads = cfg.workers;
-        workerSlots.push_back(std::make_unique<Worker>(
-            std::make_unique<core::ShardedEngine>(*sharding, ecfg),
-            cfg));
-    } else {
-        workerSlots.reserve(cfg.workers);
-        for (size_t i = 0; i < cfg.workers; ++i)
-            workerSlots.push_back(std::make_unique<Worker>(
-                std::make_unique<core::ColumnEngine>(kb, cfg.engine),
-                cfg));
-    }
-    for (size_t i = 0; i < workerSlots.size(); ++i)
-        pool.submit([this, i] { workerLoop(i); });
 }
 
 LiveServer::LiveServer(BatchBackend &backend_, size_t embedding_dim,
                        const LiveServerConfig &cfg)
-    : kb(nullptr), backend(&backend_), ed(embedding_dim), cfg(cfg),
+    : LiveServer(nullptr, &backend_, embedding_dim, cfg)
+{
+}
+
+LiveServer::LiveServer(std::unique_ptr<BatchBackend> local_,
+                       BatchBackend *external, size_t embedding_dim,
+                       const LiveServerConfig &cfg)
+    : local(std::move(local_)), backend(local ? *local : *external),
+      ed(embedding_dim), cfg(cfg),
       timeoutNs(std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::duration<double>(cfg.batchTimeout))),
-      queue(cfg.queueCapacity),
-      pool(2) // dispatch + retire
+      queue(cfg.queueCapacity), pool(backend.lanes())
 {
     if (cfg.maxBatch == 0)
         fatal("live server needs a nonzero batch cap");
     if (cfg.batchTimeout < 0.0)
         fatal("batch timeout must be non-negative");
     if (ed == 0)
-        fatal("cluster live server needs a nonzero embedding dim");
+        fatal("live server needs a nonzero embedding dim");
 
-    // One engine-less slot holds the retire loop's recorder so
-    // snapshot() composes identically across modes.
-    workerSlots.push_back(std::make_unique<Worker>(nullptr, cfg));
-    pool.submit([this] { dispatchLoop(); });
-    pool.submit([this] { retireLoop(); });
+    lanes.reserve(backend.lanes());
+    for (size_t i = 0; i < backend.lanes(); ++i)
+        lanes.push_back(std::make_unique<Lane>(cfg));
+    for (size_t i = 0; i < lanes.size(); ++i)
+        pool.submit([this, i] { laneLoop(i); });
 }
 
 LiveServer::~LiveServer()
@@ -86,13 +117,19 @@ LiveServer::~LiveServer()
 Ticket
 LiveServer::submit(const float *u)
 {
-    Ticket ticket;
-    arrived.fetch_add(1, std::memory_order_relaxed);
-    if (stopping.load(std::memory_order_acquire)) {
-        rejectedShutdown.fetch_add(1, std::memory_order_relaxed);
-        ticket.status = SubmitStatus::ShuttingDown;
-        return ticket;
-    }
+    // An arrival is counted only after its outcome — queued, or its
+    // refusal counted — so a snapshot never sees an arrival that is
+    // neither refused nor physically queued (see snapshot()).
+    const auto refuse = [this](std::atomic<uint64_t> &cause,
+                               SubmitStatus status) {
+        cause.fetch_add(1, std::memory_order_relaxed);
+        arrived.fetch_add(1, std::memory_order_release);
+        Ticket refused;
+        refused.status = status;
+        return refused;
+    };
+    if (stopping.load(std::memory_order_acquire))
+        return refuse(rejectedShutdown, SubmitStatus::ShuttingDown);
 
     Request req;
     req.u.assign(u, u + ed);
@@ -102,25 +139,21 @@ LiveServer::submit(const float *u)
         // either way the request was not admitted and the (unused)
         // promise dies with `req`. Attribute the refusal to its cause
         // so backpressure metrics stay clean of shutdown noise.
-        if (queue.isClosed()) {
-            rejectedShutdown.fetch_add(1, std::memory_order_relaxed);
-            ticket.status = SubmitStatus::ShuttingDown;
-        } else {
-            rejectedFull.fetch_add(1, std::memory_order_relaxed);
-            ticket.status = SubmitStatus::Rejected;
-        }
-        return ticket;
+        if (queue.isClosed())
+            return refuse(rejectedShutdown, SubmitStatus::ShuttingDown);
+        return refuse(rejectedFull, SubmitStatus::Rejected);
     }
+    arrived.fetch_add(1, std::memory_order_release);
+    Ticket ticket;
     ticket.status = SubmitStatus::Accepted;
     ticket.answer = std::move(answer);
     return ticket;
 }
 
 void
-LiveServer::workerLoop(size_t slot)
+LiveServer::laneLoop(size_t lane)
 {
-    Worker &w = *workerSlots[slot];
-    core::InferenceEngine &engine = *w.engine;
+    Lane &l = *lanes[lane];
     std::vector<RequestQueue<Request>::Entry> batch;
     std::vector<float> uflat;
     std::vector<float> oflat;
@@ -140,135 +173,53 @@ LiveServer::workerLoop(size_t slot)
         for (size_t i = 0; i < n; ++i)
             waits[i] = secondsBetween(batch[i].enqueued, dispatched);
 
-        double service;
+        std::vector<float> single; // n == 1: the answer buffer itself
+        const float *u = batch[0].item.u.data();
+        float *o;
         if (n == 1) {
-            Answer a;
-            a.o.resize(ed);
-            engine.inferBatch(batch[0].item.u.data(), 1, a.o.data());
-            service = secondsBetween(dispatched,
-                                     std::chrono::steady_clock::now());
-            a.batchSize = 1;
-            a.queueWaitSeconds = waits[0];
-            a.serviceSeconds = service;
-            batch[0].item.promise.set_value(std::move(a));
+            single.resize(ed);
+            o = single.data();
         } else {
             uflat.resize(n * ed);
             oflat.resize(n * ed);
             for (size_t i = 0; i < n; ++i)
                 std::memcpy(uflat.data() + i * ed,
                             batch[i].item.u.data(), ed * sizeof(float));
-            engine.inferBatch(uflat.data(), n, oflat.data());
-            service = secondsBetween(dispatched,
-                                     std::chrono::steady_clock::now());
-            for (size_t i = 0; i < n; ++i) {
-                Answer a;
-                a.o.assign(oflat.data() + i * ed,
-                           oflat.data() + (i + 1) * ed);
-                a.batchSize = n;
-                a.queueWaitSeconds = waits[i];
-                a.serviceSeconds = service;
-                batch[i].item.promise.set_value(std::move(a));
-            }
+            u = uflat.data();
+            o = oflat.data();
         }
-
-        {
-            std::lock_guard<std::mutex> lock(w.recorderMutex);
-            w.recorder.recordBatch(n);
-            for (size_t i = 0; i < n; ++i)
-                w.recorder.recordRequest(waits[i], service,
-                                         waits[i] + service);
-        }
-    }
-}
-
-void
-LiveServer::dispatchLoop()
-{
-    std::vector<RequestQueue<Request>::Entry> batch;
-    while (queue.popBatch(cfg.maxBatch, timeoutNs, batch)) {
-        auto pb = std::make_unique<PendingBatch>();
-        pb->dispatched = std::chrono::steady_clock::now();
-        pb->entries = std::move(batch);
-        const size_t n = pb->entries.size();
-        pb->uflat.resize(n * ed);
-        pb->oflat.resize(n * ed);
-        for (size_t i = 0; i < n; ++i)
-            std::memcpy(pb->uflat.data() + i * ed,
-                        pb->entries[i].item.u.data(),
-                        ed * sizeof(float));
-        // Blocks while the backend's in-flight window is full — the
-        // backpressure that lets the bounded queue fill and refuse.
-        pb->ticket =
-            backend->submitBatch(pb->uflat.data(), n, ed,
-                                 pb->oflat.data());
-        {
-            std::lock_guard<std::mutex> lock(retireMutex);
-            retireQueue.push_back(std::move(pb));
-        }
-        retireCv.notify_one();
-    }
-    {
-        std::lock_guard<std::mutex> lock(retireMutex);
-        dispatchDone = true;
-    }
-    retireCv.notify_all();
-}
-
-void
-LiveServer::retireLoop()
-{
-    Worker &w = *workerSlots[0];
-    std::vector<double> waits;
-    for (;;) {
-        std::unique_ptr<PendingBatch> pb;
-        {
-            std::unique_lock<std::mutex> lock(retireMutex);
-            retireCv.wait(lock, [this] {
-                return dispatchDone || !retireQueue.empty();
-            });
-            if (retireQueue.empty())
-                break; // dispatchDone and nothing left to retire
-            pb = std::move(retireQueue.front());
-            retireQueue.pop_front();
-        }
-
-        // Submission-order wait: the retire queue is FIFO over the
-        // dispatch loop's submit order, which is exactly the ticket
-        // order the backend requires.
-        const BatchResult r = backend->waitBatch(pb->ticket);
+        const BatchResult r = backend.inferBatch(lane, u, n, ed, o);
         const double service =
-            secondsBetween(pb->dispatched,
-                           std::chrono::steady_clock::now());
-        const size_t n = pb->entries.size();
-        waits.resize(n);
-        for (size_t i = 0; i < n; ++i)
-            waits[i] = secondsBetween(pb->entries[i].enqueued,
-                                      pb->dispatched);
+            secondsBetween(dispatched, std::chrono::steady_clock::now());
 
+        // A failed batch still fulfills every future (empty output,
+        // Answer::failed set), so accepted-request conservation holds
+        // under every backend fault.
         const bool failed = r.shardsAnswered == 0;
         for (size_t i = 0; i < n; ++i) {
             Answer a;
-            if (!failed)
-                a.o.assign(pb->oflat.data() + i * ed,
-                           pb->oflat.data() + (i + 1) * ed);
+            if (!failed && n == 1)
+                a.o = std::move(single);
+            else if (!failed)
+                a.o.assign(o + i * ed, o + (i + 1) * ed);
             a.batchSize = n;
             a.queueWaitSeconds = waits[i];
             a.serviceSeconds = service;
             a.failed = failed;
             a.shardMask = r.shardMask;
-            pb->entries[i].item.promise.set_value(std::move(a));
+            batch[i].item.promise.set_value(std::move(a));
         }
 
         // Every fulfilled future is a completion — failed batches
         // included, so `completed + rejected == arrived` holds exactly
-        // after shutdown (the Answer::failed flag carries the quality
-        // signal; the backend's own recorder is where fail-closed
-        // timings stay out of the success histograms).
+        // after shutdown (Answer::failed carries the quality signal;
+        // a cluster backend's own recorder keeps fail-closed timings
+        // out of its success histograms).
         {
-            std::lock_guard<std::mutex> lock(w.recorderMutex);
-            w.recorder.recordBatch(n);
+            std::lock_guard<std::mutex> lock(l.recorderMutex);
+            l.recorder.recordBatch(n);
             for (size_t i = 0; i < n; ++i)
-                w.recorder.recordRequest(waits[i], service,
+                l.recorder.recordRequest(waits[i], service,
                                          waits[i] + service);
         }
     }
@@ -278,7 +229,7 @@ void
 LiveServer::shutdown()
 {
     std::call_once(shutdownOnce, [this] {
-        // Order matters: refuse new admissions, then wake the workers
+        // Order matters: refuse new admissions, then wake the lanes
         // so they drain the queue as immediate partial batches, then
         // wait for the last batch to complete. popBatch returns false
         // only once the queue is closed *and* empty, so no accepted
@@ -293,22 +244,20 @@ LatencySnapshot
 LiveServer::snapshot() const
 {
     // Latch the admission counters *before* merging the completion
-    // histograms — arrived first, then the rejection split (each
-    // rejection was preceded by its arrival increment, each completion
-    // by its admission). See the header for the backlog guarantee
-    // this ordering buys.
-    const uint64_t a = arrived.load(std::memory_order_relaxed);
+    // histograms — arrived first (acquire: every refusal and every
+    // queue push counted in it is visible below), then the rejection
+    // split. See the header for the backlog guarantee this buys.
+    const uint64_t a = arrived.load(std::memory_order_acquire);
     const uint64_t rf = rejectedFull.load(std::memory_order_relaxed);
     const uint64_t rs =
         rejectedShutdown.load(std::memory_order_relaxed);
 
     LatencyRecorder merged(cfg.histogramMaxSeconds, cfg.histogramBins);
-    for (const auto &w : workerSlots) {
-        std::lock_guard<std::mutex> lock(w->recorderMutex);
-        w->recorder.mergeInto(merged);
+    for (const auto &l : lanes) {
+        std::lock_guard<std::mutex> lock(l->recorderMutex);
+        l->recorder.mergeInto(merged);
     }
-    if (backend)
-        backend->countersInto(merged);
+    backend.countersInto(merged);
     LatencySnapshot s = merged.snapshot();
     s.arrived = a;
     s.rejectedFull = rf;

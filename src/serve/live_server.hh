@@ -3,10 +3,10 @@
  * The live QA serving runtime: a real, multi-threaded counterpart of
  * the discrete-event simulator in qa_server.hh.
  *
- *   clients --submit()--> RequestQueue --popBatch()--> engine workers
- *                         (bounded,      (size cap +    (replicated or
- *                          rejects        oldest-Q       sharded KB,
- *                          when full)     timeout)       see below)
+ *   clients --submit()--> RequestQueue --popBatch()--> lanes --> BatchBackend
+ *                         (bounded,      (size cap +    (one pull  (replicated,
+ *                          rejects        oldest-Q       loop per   sharded or
+ *                          when full)     timeout)       lane)      cluster)
  *
  * Admission. submit() copies the question vector, stamps it, and
  * offers it to a bounded queue. A full (or closing) queue rejects the
@@ -18,7 +18,7 @@
  * before the workers exit, so every accepted request is answered
  * exactly once (tested).
  *
- * Batching. Workers pull batches with RequestQueue::popBatch, whose
+ * Batching. Lanes pull batches with RequestQueue::popBatch, whose
  * dispatch rule — release at `maxBatch` pending or when the oldest
  * pending request has waited `batchTimeout` — is the same policy the
  * simulator implements in simulated time. This is deliberate: the
@@ -28,49 +28,48 @@
  * one workload through both and compare the model against wall-clock
  * reality.
  *
- * Execution has three modes — two in-process (selected by
- * LiveServerConfig::shards) and one remote (selected by constructing
- * over a BatchBackend):
+ * Execution: one serving loop over N lanes. Every mode runs the same
+ * worker-pull loop on each lane of a BatchBackend
+ * (serve/batch_backend.hh): the loop pops a batch only when its lane
+ * is free, answers it with one synchronous
+ * BatchBackend::inferBatch(lane, ...) call, fulfills the batch's
+ * promises and records it. Modes differ only in the backend:
  *
- *  - Replicated (shards <= 1): each of the `workers` dispatch loops
- *    owns a private ColumnEngine over the whole (read-only) KB, so
- *    concurrent batches proceed independently — but N workers stream
- *    the KB N times, paying redundant bandwidth (the paper's §6
- *    scalability critique).
+ *  - Replicated (shards <= 1): a private in-process backend with
+ *    `workers` lanes, each owning a ColumnEngine over the whole
+ *    (read-only) KB, so concurrent batches proceed independently —
+ *    but N lanes stream the KB N times, paying redundant bandwidth
+ *    (the paper's §6 scalability critique).
  *  - Sharded (shards >= 2): the KB is partitioned once into
- *    chunk-aligned shards (core::ShardedKnowledgeBase) and a single
- *    dispatch loop scatters each batch across a core::ShardedEngine
- *    whose `workers`-thread pool streams one shard per worker; the
- *    dispatching loop gathers the online-softmax partials in
- *    canonical shard order. One batch at a time, every worker on the
- *    same batch, each KB byte streamed once per batch — and the
+ *    chunk-aligned shards (core::ShardedKnowledgeBase) and one lane
+ *    scatters each batch across a core::ShardedEngine whose
+ *    `workers`-thread pool streams one shard per worker, then gathers
+ *    the online-softmax partials in canonical shard order. One batch
+ *    at a time, each KB byte streamed once per batch — and the
  *    answers are bit-identical to the replicated mode's (see
  *    sharded_engine.hh).
- *  - Cluster (the BatchBackend constructor): the same bounded queue
- *    and dynamic batcher feed a remote scatter/gather backend —
- *    canonically a net::ClusterFrontEnd over shard node processes —
- *    through two loops: a *dispatch* loop that pops batches,
- *    flattens them, and submits into the backend's in-flight window
- *    (blocking only when the window is full — that is the
- *    backpressure that keeps the bounded queue absorbing and
- *    eventually refusing arrivals), and a *retire* loop that waits
- *    tickets in submission order and fulfills the promises. With a
- *    window W >= 2, batch k+1 scatters while batch k gathers. The
- *    backend's lossless path is bit-identical to the in-process
- *    sharded mode over the same partition; a batch the backend fails
- *    closed still fulfills its futures — with Answer::failed set and
- *    an empty output — so accepted-request conservation holds under
- *    every fault. Per-shard RPC counters, partial-answer and
- *    failed-batch totals are threaded into snapshot() via
+ *  - Cluster (the BatchBackend constructor): the backend is supplied
+ *    by the caller — canonically a net::ClusterFrontEnd over shard
+ *    node processes, whose lanes are its in-flight window W, so W
+ *    lanes keep W batches scattered while batches retire in FIFO
+ *    order. Its lossless path is bit-identical to the sharded mode
+ *    over the same partition. A batch the backend fails closed still
+ *    fulfills its futures — with Answer::failed set and an empty
+ *    output — so accepted-request conservation holds under every
+ *    fault. Per-shard RPC counters, partial-answer and failed-batch
+ *    totals are threaded into snapshot() via
  *    BatchBackend::countersInto.
  *
- * Engines hold scratch state and are not thread-safe, but the KB is
- * immutable while serving, so workers scale without locking. Worker
- * threads come from a runtime::ThreadPool; per-worker ScratchArenas
- * inside the engines reach steady state after the first batch, so the
- * serving loop is allocation-quiet.
+ * Because a lane pops only when free, at most lanes x maxBatch
+ * accepted requests are outside the bounded queue in every mode —
+ * the physical bound snapshot() documents. Engines hold scratch state
+ * and are not thread-safe, but each lane drives its own, and the KB
+ * is immutable while serving, so lanes scale without locking. Lane
+ * threads come from a runtime::ThreadPool; per-engine ScratchArenas
+ * reach steady state after the first batch, so the serving loop is
+ * allocation-quiet.
  *
- * Observability. Each dispatch loop updates a private LatencyRecorder
+ * Observability. Each lane updates a private LatencyRecorder
  * (queue-wait / service / end-to-end histograms + batch counters)
  * under a per-slot mutex that snapshot() also takes, so a live
  * snapshot is always consistent; admission counters (arrived,
@@ -85,18 +84,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <vector>
 
-#include <deque>
-
-#include "core/column_engine.hh"
+#include "core/config.hh"
 #include "core/knowledge_base.hh"
-#include "core/sharded_engine.hh"
-#include "core/sharded_knowledge_base.hh"
 #include "runtime/thread_pool.hh"
 #include "serve/batch_backend.hh"
 #include "serve/latency_recorder.hh"
@@ -117,12 +111,14 @@ struct Answer
     std::vector<float> o;          ///< ed-dimensional response
     size_t batchSize = 0;          ///< size of the batch it rode in
     double queueWaitSeconds = 0.0; ///< enqueue -> batch dispatch
-    double serviceSeconds = 0.0;   ///< the engine call (batch-shared)
-    /** Cluster mode only: the batch failed closed (no shard subset
-     *  merged) and `o` is empty. In-process modes never fail. */
+    double serviceSeconds = 0.0;   ///< the backend call (batch-shared)
+    /** The backend failed the batch closed (BatchResult::shardsAnswered
+     *  was 0) and `o` is empty. Only a cluster backend fails; the
+     *  in-process backend always answers. */
     bool failed = false;
-    /** Cluster mode only: bit s set = shard s contributed to `o`.
-     *  Zero for in-process modes and failed batches. */
+    /** BatchResult::shardMask of the batch: bit s set = remote shard s
+     *  contributed to `o`. Zero for in-process modes and failed
+     *  batches. */
     uint32_t shardMask = 0;
 };
 
@@ -143,9 +139,9 @@ struct LiveServerConfig
     /** Dispatch a partial batch once its oldest question waited this
      *  long (seconds). Zero means dispatch immediately when nonempty. */
     double batchTimeout = 2.0e-3;
-    /** Engine workers. Replicated mode: independent dispatch loops,
-     *  each owning a private full-KB ColumnEngine. Sharded mode: the
-     *  scatter width of the single ShardedEngine. */
+    /** Engine workers. Replicated mode: independent lanes, each
+     *  owning a private full-KB ColumnEngine. Sharded mode: the
+     *  scatter width of the single lane's ShardedEngine. */
     size_t workers = 1;
     /** Knowledge-base shards for scatter/gather dispatch. 0 or 1
      *  keeps the replicated mode; >= 2 partitions the KB (boundaries
@@ -159,8 +155,8 @@ struct LiveServerConfig
      *  sharded mode, from the scatter pool; nested pools would
      *  oversubscribe the cores). Coarse routing flows through here
      *  too: set engine.routePolicy / routeTopK / routeBoundThreshold
-     *  and every dispatch slot routes — replicated workers select
-     *  globally, sharded scatter selects per shard, with bit-identical
+     *  and every lane routes — replicated lanes select globally,
+     *  sharded scatter selects per shard, with bit-identical
      *  answers between the modes (see sharded_engine.hh). */
     core::EngineConfig engine;
     /** Latency histogram range; samples above land in overflow (and
@@ -169,7 +165,7 @@ struct LiveServerConfig
     /** Latency histogram resolution. The default (~7.6 us bins over
      *  0.5 s) resolves microsecond-scale engine latencies while still
      *  covering deep-overload queueing; 3 histograms x 8 B bins is
-     *  ~1.5 MiB per worker. */
+     *  ~1.5 MiB per lane. */
     size_t histogramBins = 65536;
 };
 
@@ -178,17 +174,19 @@ class LiveServer
 {
   public:
     /**
-     * Start the workers. The knowledge base must be non-empty, must
-     * not be mutated while the server runs, and must outlive it.
+     * In-process modes: start one lane per replicated worker, or one
+     * sharded lane (see file header). The knowledge base must be
+     * non-empty, must not be mutated while the server runs, and must
+     * outlive it.
      */
     LiveServer(const core::KnowledgeBase &kb,
                const LiveServerConfig &cfg);
 
     /**
-     * Cluster mode: dispatch batches through `backend` (canonically a
-     * net::ClusterFrontEnd) instead of in-process engines. The
-     * backend must outlive the server and be used by nothing else
-     * while serving (the server owns its submit/wait threads).
+     * Cluster mode: run backend.lanes() lanes through `backend`
+     * (canonically a net::ClusterFrontEnd) instead of in-process
+     * engines. The backend must outlive the server and be used by
+     * nothing else while serving (the server drives its lanes).
      * `embedding_dim` is the question width submit() expects;
      * cfg.workers/shards/engine are ignored (execution lives behind
      * the backend).
@@ -211,8 +209,8 @@ class LiveServer
 
     /**
      * Stop admissions, serve every already-accepted request, and join
-     * the workers. Idempotent; after it returns, every accepted
-     * future is ready and the counters are final.
+     * the lanes. Idempotent; after it returns, every accepted future
+     * is ready and the counters are final.
      */
     void shutdown();
 
@@ -221,10 +219,12 @@ class LiveServer
      *
      * Ordering guarantee: the admission counters (arrived, then the
      * rejection split) are latched *before* the completion histograms
-     * are merged. Every admitted request lives in the bounded queue
-     * or a dispatched batch until its completion is recorded, so the
-     * apparent backlog `arrived - rejected - completed` never exceeds
-     * queueCapacity + engineSlots * maxBatch — a snapshot can show a
+     * are merged, and submit() counts an arrival only once it is
+     * queued or its refusal is counted. Every admitted request lives
+     * in the bounded queue or a lane's batch until its completion is
+     * recorded, so the apparent backlog `arrived - rejected -
+     * completed` never exceeds queueCapacity + engineSlots * maxBatch
+     * — a snapshot can show a
      * just-completed request as completed-but-not-yet-arrived
      * (transiently *under*-counting the backlog) but never reports
      * phantom in-flight requests (the artifact of the reverse order).
@@ -241,12 +241,13 @@ class LiveServer
     /** True when batches are scattered across a sharded KB. */
     bool sharded() const { return cfg.shards >= 2; }
 
-    /** True when batches dispatch through a remote BatchBackend. */
-    bool remote() const { return backend != nullptr; }
+    /** True when batches run on a caller-supplied BatchBackend. */
+    bool remote() const { return local == nullptr; }
 
-    /** Dispatch loops: cfg.workers replicated slots, or 1 sharded /
-     *  cluster recording slot. */
-    size_t engineSlots() const { return workerSlots.size(); }
+    /** Lanes, i.e. batches that can be out of the queue at once:
+     *  cfg.workers replicated, 1 sharded, the window W over a
+     *  cluster front end. */
+    size_t engineSlots() const { return lanes.size(); }
 
     const LiveServerConfig &config() const { return cfg; }
 
@@ -257,53 +258,33 @@ class LiveServer
         std::promise<Answer> promise;
     };
 
-    /** One dispatch slot: engine + its privately-written recorder. */
-    struct Worker
+    /** One lane's privately-written recorder. */
+    struct Lane
     {
-        Worker(std::unique_ptr<core::InferenceEngine> engine,
-               const LiveServerConfig &cfg)
-            : engine(std::move(engine)),
-              recorder(cfg.histogramMaxSeconds, cfg.histogramBins)
+        explicit Lane(const LiveServerConfig &cfg)
+            : recorder(cfg.histogramMaxSeconds, cfg.histogramBins)
         {}
 
-        std::unique_ptr<core::InferenceEngine> engine;
         LatencyRecorder recorder;
-        std::mutex recorderMutex; ///< worker writes vs snapshot reads
+        std::mutex recorderMutex; ///< lane writes vs snapshot reads
     };
 
-    /** One dispatched-but-unretired cluster batch: the flattened
-     *  question/answer buffers must stay stable from submitBatch to
-     *  waitBatch, so each batch owns heap storage. */
-    struct PendingBatch
-    {
-        std::vector<RequestQueue<Request>::Entry> entries;
-        std::vector<float> uflat;
-        std::vector<float> oflat;
-        uint64_t ticket = 0;
-        std::chrono::steady_clock::time_point dispatched;
-    };
+    /** Both public constructors land here: `local` owns the
+     *  in-process backend, or is null and `external` is used. */
+    LiveServer(std::unique_ptr<BatchBackend> local,
+               BatchBackend *external, size_t embedding_dim,
+               const LiveServerConfig &cfg);
 
-    void workerLoop(size_t slot);
-    void dispatchLoop(); ///< cluster: queue -> backend window
-    void retireLoop();   ///< cluster: backend -> promises, in order
+    void laneLoop(size_t lane);
 
-    const core::KnowledgeBase *kb; ///< null in cluster mode
-    BatchBackend *backend;         ///< null in in-process modes
-    size_t ed;                     ///< question width
+    std::unique_ptr<BatchBackend> local; ///< null in cluster mode
+    BatchBackend &backend;
+    size_t ed; ///< question width
     LiveServerConfig cfg;
     std::chrono::nanoseconds timeoutNs;
 
     RequestQueue<Request> queue;
-    /** The shard partition (sharded mode only; engines point at it). */
-    std::unique_ptr<core::ShardedKnowledgeBase> sharding;
-    std::vector<std::unique_ptr<Worker>> workerSlots;
-
-    /** Cluster mode: submitted batches awaiting retirement, oldest
-     *  first — the dispatch loop pushes, the retire loop pops. */
-    std::deque<std::unique_ptr<PendingBatch>> retireQueue;
-    std::mutex retireMutex;
-    std::condition_variable retireCv;
-    bool dispatchDone = false; ///< guarded by retireMutex
+    std::vector<std::unique_ptr<Lane>> lanes;
 
     std::atomic<uint64_t> arrived{0};
     std::atomic<uint64_t> rejectedFull{0};
@@ -311,7 +292,7 @@ class LiveServer
     std::atomic<bool> stopping{false};
     std::once_flag shutdownOnce;
 
-    // Declared last so the pool (and its worker loops, which touch
+    // Declared last so the pool (and its lane loops, which touch
     // every member above) is torn down first.
     runtime::ThreadPool pool;
 };

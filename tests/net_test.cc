@@ -14,12 +14,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <deque>
+#include <future>
 #include <limits>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -28,6 +31,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "backlog_monitor.hh"
 #include "core/knowledge_base.hh"
 #include "core/sharded_engine.hh"
 #include "core/sharded_knowledge_base.hh"
@@ -636,10 +640,28 @@ class NodeSet
         nodes.push_back(
             std::make_unique<ShardNode>(shard_kb, cfg, shard));
         ShardNode *node = nodes.back().get();
-        threads.emplace_back(
-            [node, l = std::move(listener)]() mutable {
-                node->serve(*l);
-            });
+        std::promise<void> served;
+        stopped.push_back(served.get_future());
+        threads.emplace_back([node, l = std::move(listener),
+                              served = std::move(served)]() mutable {
+            node->serve(*l);
+            served.set_value();
+        });
+    }
+
+    /**
+     * Wait up to `seconds` for every node's serve loop to return on
+     * its own — no requestStop(), so only a Shutdown frame that landed
+     * can end it. False on timeout (stop() then cleans up).
+     */
+    bool
+    stoppedWithin(double seconds)
+    {
+        const net::NetClock::time_point deadline = net::deadlineIn(seconds);
+        for (const std::future<void> &f : stopped)
+            if (f.wait_until(deadline) != std::future_status::ready)
+                return false;
+        return true;
     }
 
     void
@@ -656,6 +678,7 @@ class NodeSet
 
     std::vector<std::unique_ptr<ShardNode>> nodes;
     std::vector<std::thread> threads;
+    std::vector<std::future<void>> stopped; ///< ready once serve returns
 };
 
 TEST(ShardNode, StopsOnShutdownFrameAndRefusesMiswiredRequests)
@@ -707,13 +730,14 @@ TEST(ShardNode, StopsOnShutdownFrameAndRefusesMiswiredRequests)
         EXPECT_EQ(set.nodes[0]->requestsServed(), 1u);
     }
 
-    // A Shutdown frame stops the serve loop entirely.
+    // A Shutdown frame stops the serve loop entirely — even when the
+    // sender closes right after sending it.
     {
         auto ch = t.connect("node0", net::deadlineIn(1.0));
         ASSERT_TRUE(ch);
         ASSERT_TRUE(ch->send(Frame{FrameType::Shutdown, {}}));
     }
-    set.stop(); // joins: hangs here if Shutdown did not land
+    EXPECT_TRUE(set.stoppedWithin(2.0)) << "the Shutdown frame was lost";
 }
 
 /**
@@ -1394,6 +1418,10 @@ TEST(ClusterFrontEnd, MidWindowPartialAnswerRetiresInOrderAndRecovers)
 
 TEST(LiveServerCluster, AnswersBitIdenticalToShardedEngine)
 {
+    // One lane per window slot, at several window depths, over a
+    // lossless and a jittering network: whatever order lanes and
+    // shards finish in, every answer is bit-identical to the
+    // in-process ShardedEngine.
     const size_t ns = 700, ed = 16, chunk = 64;
     const core::KnowledgeBase kb = makeKb(ns, ed);
     core::EngineConfig cfg;
@@ -1408,6 +1436,95 @@ TEST(LiveServerCluster, AnswersBitIdenticalToShardedEngine)
     set.add(skb.shard(0), cfg, 0, t, "s0");
     set.add(skb.shard(1), cfg, 1, t, "s1");
 
+    FaultSpec jitter; // reorders messages, loses none
+    jitter.baseLatencySeconds = 2e-4;
+    jitter.jitterSeconds = 1e-3;
+
+    for (const size_t depth : {1, 2, 4}) {
+        for (const bool jittery : {false, true}) {
+            SCOPED_TRACE("depth " + std::to_string(depth)
+                         + (jittery ? " jitter" : " lossless"));
+            // The connecting transport decides each link's faults.
+            LoopbackTransport ft(netns, jittery ? jitter : FaultSpec{},
+                                 31 + depth);
+            ClusterConfig ccfg;
+            ccfg.replicas = {{"s0"}, {"s1"}};
+            ccfg.requestTimeoutSeconds = 30.0;
+            ccfg.pipelineDepth = depth;
+            ClusterFrontEnd fe(ft, ccfg);
+
+            serve::LiveServerConfig lcfg;
+            lcfg.maxBatch = 4;
+            lcfg.batchTimeout = 1e-3;
+            lcfg.queueCapacity = 64;
+            serve::LiveServer server(fe, ed, lcfg);
+            EXPECT_TRUE(server.remote());
+            EXPECT_EQ(server.embeddingDim(), ed);
+            EXPECT_EQ(server.engineSlots(), depth);
+
+            const size_t kRequests = 24;
+            std::vector<std::vector<float>> questions;
+            std::vector<serve::Ticket> tickets;
+            for (size_t i = 0; i < kRequests; ++i) {
+                questions.push_back(makeQuestions(1, ed, 500 + i));
+                tickets.push_back(server.submit(questions[i].data()));
+                ASSERT_TRUE(tickets[i].accepted());
+            }
+
+            for (size_t i = 0; i < kRequests; ++i) {
+                serve::Answer a = tickets[i].answer.get();
+                EXPECT_FALSE(a.failed);
+                EXPECT_EQ(a.shardMask, 0b11u);
+                ASSERT_EQ(a.o.size(), ed);
+                // Per-question results are batch-composition-
+                // independent, so a single-question reference
+                // inference predicts the bits no matter how the
+                // dynamic batcher grouped the request.
+                std::vector<float> expect(ed);
+                reference.inferBatch(questions[i].data(), 1,
+                                     expect.data());
+                for (size_t e = 0; e < ed; ++e)
+                    ASSERT_EQ(f32Bits(a.o[e]), f32Bits(expect[e]))
+                        << "request " << i << " e=" << e;
+            }
+
+            server.shutdown();
+            const serve::LatencySnapshot snap = server.snapshot();
+            EXPECT_EQ(snap.arrived, kRequests);
+            EXPECT_EQ(snap.completed, kRequests);
+            EXPECT_EQ(snap.rejected, 0u);
+            // The backend's per-shard RPC counters ride along in the
+            // serving snapshot: one rpc per shard per dispatched
+            // batch at least.
+            ASSERT_EQ(snap.rpcShards.size(), 2u);
+            EXPECT_GE(snap.rpcShards[0].rpcs, snap.batches);
+            EXPECT_GE(snap.rpcShards[1].rpcs, snap.batches);
+            EXPECT_EQ(snap.failedBatches, 0u);
+        }
+    }
+}
+
+TEST(LiveServerCluster, ConcurrentSnapshotsNeverShowPhantomBacklog)
+{
+    // A slow network keeps the window full while the flood is refused
+    // at the queue: the backlog may only count the queue plus one
+    // batch per lane (the window W). A batch held outside both — by a
+    // dispatcher blocked on a full window, or awaiting retirement —
+    // would show up here as phantom backlog.
+    const size_t ns = 256, ed = 8, chunk = 64;
+    const core::KnowledgeBase kb = makeKb(ns, ed);
+    core::EngineConfig cfg;
+    cfg.chunkSize = chunk;
+
+    const core::ShardedKnowledgeBase skb(kb, chunk, 2);
+    FaultSpec slow;
+    slow.baseLatencySeconds = 5e-3;
+    LoopbackNetwork netns;
+    LoopbackTransport t(netns, slow, 99);
+    NodeSet set;
+    set.add(skb.shard(0), cfg, 0, t, "s0");
+    set.add(skb.shard(1), cfg, 1, t, "s1");
+
     ClusterConfig ccfg;
     ccfg.replicas = {{"s0"}, {"s1"}};
     ccfg.requestTimeoutSeconds = 30.0;
@@ -1416,47 +1533,10 @@ TEST(LiveServerCluster, AnswersBitIdenticalToShardedEngine)
 
     serve::LiveServerConfig lcfg;
     lcfg.maxBatch = 4;
-    lcfg.batchTimeout = 1e-3;
-    lcfg.queueCapacity = 64;
+    lcfg.batchTimeout = 0.0;
+    lcfg.queueCapacity = 8;
     serve::LiveServer server(fe, ed, lcfg);
-    EXPECT_TRUE(server.remote());
-    EXPECT_EQ(server.embeddingDim(), ed);
-
-    const size_t kRequests = 24;
-    std::vector<std::vector<float>> questions;
-    std::vector<serve::Ticket> tickets;
-    for (size_t i = 0; i < kRequests; ++i) {
-        questions.push_back(makeQuestions(1, ed, 500 + i));
-        tickets.push_back(server.submit(questions[i].data()));
-        ASSERT_TRUE(tickets[i].accepted());
-    }
-
-    for (size_t i = 0; i < kRequests; ++i) {
-        serve::Answer a = tickets[i].answer.get();
-        EXPECT_FALSE(a.failed);
-        EXPECT_EQ(a.shardMask, 0b11u);
-        ASSERT_EQ(a.o.size(), ed);
-        // Per-question results are batch-composition-independent, so
-        // a single-question reference inference predicts the bits no
-        // matter how the dynamic batcher grouped the request.
-        std::vector<float> expect(ed);
-        reference.inferBatch(questions[i].data(), 1, expect.data());
-        for (size_t e = 0; e < ed; ++e)
-            ASSERT_EQ(f32Bits(a.o[e]), f32Bits(expect[e]))
-                << "request " << i << " e=" << e;
-    }
-
-    server.shutdown();
-    const serve::LatencySnapshot snap = server.snapshot();
-    EXPECT_EQ(snap.arrived, kRequests);
-    EXPECT_EQ(snap.completed, kRequests);
-    EXPECT_EQ(snap.rejected, 0u);
-    // The backend's per-shard RPC counters ride along in the serving
-    // snapshot: one rpc per shard per dispatched batch at least.
-    ASSERT_EQ(snap.rpcShards.size(), 2u);
-    EXPECT_GE(snap.rpcShards[0].rpcs, snap.batches);
-    EXPECT_GE(snap.rpcShards[1].rpcs, snap.batches);
-    EXPECT_EQ(snap.failedBatches, 0u);
+    serve::floodWhileMonitoringBacklog(server, 100000);
 }
 
 TEST(LiveServerCluster, FloodAndShutdownAnswersEveryAcceptedRequest)
@@ -1540,10 +1620,40 @@ TEST(ClusterFrontEnd, ShutdownNodesStopsEveryReplica)
         ClusterFrontEnd fe(t, ccfg);
         fe.shutdownNodes(1.0);
     }
-    // Joins promptly because every node saw the Shutdown frame.
-    set.stop();
+    // Stops promptly only if every node saw the Shutdown frame.
+    EXPECT_TRUE(set.stoppedWithin(2.0)) << "a Shutdown frame was lost";
     for (const auto &n : set.nodes)
         EXPECT_EQ(n->requestsServed(), 0u);
+}
+
+TEST(ClusterFrontEnd, ShutdownNodesStopsReplicasThatServedTraffic)
+{
+    // The usual teardown: serve a batch, then stop the nodes while
+    // the front end still holds its fetch connections.
+    const size_t ns = 256, ed = 8, nq = 2, chunk = 64;
+    const core::KnowledgeBase kb = makeKb(ns, ed);
+    core::EngineConfig cfg;
+    cfg.chunkSize = chunk;
+
+    const core::ShardedKnowledgeBase skb(kb, chunk, 2);
+    LoopbackNetwork netns;
+    LoopbackTransport t(netns);
+    NodeSet set;
+    set.add(skb.shard(0), cfg, 0, t, "s0");
+    set.add(skb.shard(1), cfg, 1, t, "s1");
+
+    ClusterConfig ccfg;
+    ccfg.replicas = {{"s0"}, {"s1"}};
+    ccfg.requestTimeoutSeconds = 30.0;
+    ClusterFrontEnd fe(t, ccfg);
+    const std::vector<float> u = makeQuestions(nq, ed);
+    std::vector<float> o(nq * ed);
+    EXPECT_TRUE(fe.inferBatch(u.data(), nq, ed, o.data()).complete);
+
+    fe.shutdownNodes(1.0);
+    EXPECT_TRUE(set.stoppedWithin(2.0)) << "a Shutdown frame was lost";
+    for (const auto &n : set.nodes)
+        EXPECT_EQ(n->requestsServed(), 1u);
 }
 
 } // namespace

@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -18,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "backlog_monitor.hh"
 #include "core/column_engine.hh"
 #include "core/knowledge_base.hh"
 #include "serve/calibrate.hh"
@@ -606,61 +606,14 @@ TEST(LiveServer, SnapshotQuantilesAreOrderedAndComplete)
 
 TEST(LiveServer, ConcurrentSnapshotsNeverShowPhantomBacklog)
 {
-    // snapshot() latches `arrived` before the rejection counters and
-    // both before merging the completion histograms (see
-    // live_server.hh). A monitor thread polling mid-flood must
-    // therefore never observe an apparent backlog
-    // (arrived - rejected - completed) beyond what can physically be
-    // in flight: the queue plus one dispatched batch per engine slot.
-    // Reading the counters in the opposite order would routinely
-    // violate this under load. The guarantee is one-sided: between
-    // latching `arrived` and the later reads, more requests can be
-    // rejected/completed, so the signed backlog may transiently go
-    // *negative* — it must only never exceed the physical bound.
+    // The backlog bound under a flood; the monitor body is shared
+    // with the cluster suite (tests/backlog_monitor.hh).
     const core::KnowledgeBase kb = makeKb(150, 8);
     LiveServerConfig cfg = liveConfig();
     cfg.queueCapacity = 32;
     cfg.batchTimeout = 0.0;
     LiveServer server(kb, cfg);
-    const uint64_t in_flight_bound =
-        cfg.queueCapacity + server.engineSlots() * cfg.maxBatch;
-
-    std::atomic<bool> done{false};
-    std::thread monitor([&] {
-        uint64_t prev_arrived = 0, prev_completed = 0;
-        while (!done.load(std::memory_order_acquire)) {
-            const LatencySnapshot s = server.snapshot();
-            const int64_t backlog = int64_t(s.arrived)
-                                  - int64_t(s.rejected)
-                                  - int64_t(s.completed);
-            ASSERT_LE(backlog, int64_t(in_flight_bound));
-            ASSERT_EQ(s.rejected, s.rejectedFull + s.rejectedShutdown);
-            // Successive snapshots from one thread are monotone.
-            ASSERT_GE(s.arrived, prev_arrived);
-            ASSERT_GE(s.completed, prev_completed);
-            prev_arrived = s.arrived;
-            prev_completed = s.completed;
-        }
-    });
-
-    std::vector<float> q(8, 0.4f);
-    std::vector<std::future<Answer>> futures;
-    for (int i = 0; i < 600; ++i) {
-        Ticket t = server.submit(q.data());
-        if (t.accepted())
-            futures.push_back(std::move(t.answer));
-    }
-    server.shutdown();
-    done.store(true, std::memory_order_release);
-    monitor.join();
-    for (auto &f : futures)
-        f.get();
-
-    // After shutdown the books balance exactly.
-    const LatencySnapshot s = server.snapshot();
-    EXPECT_EQ(s.arrived,
-              s.completed + s.rejectedFull + s.rejectedShutdown);
-    EXPECT_EQ(s.completed, futures.size());
+    floodWhileMonitoringBacklog(server, 600);
 }
 
 TEST(LiveServer, ShutdownIsIdempotentAndDtorSafe)
