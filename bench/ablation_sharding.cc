@@ -19,9 +19,10 @@
  *     distribution straight from the answers' own timings;
  *  2. open-loop throughput at ~0.9x the single-pass capacity;
  *  3. engine-level sanity: median direct ShardedEngine::inferBatch
- *     wall time and the max |difference| against a single reference
- *     ColumnEngine (0 when shard boundaries are chunk-aligned — the
- *     bit-identity guarantee).
+ *     wall time and the max |difference| between it and the cluster's
+ *     composition — one single-group engine per shard view,
+ *     inferPartial, then mergeStreamPartials. The two must agree bit
+ *     for bit (sharded_engine.hh); any difference exits 1.
  *
  * Writes its JSON (e.g. BENCH_sharding.json) only to the explicit path in
  * MNNFAST_BENCH_JSON; exits 2 without one.
@@ -88,7 +89,8 @@ struct ModeResult
     uint64_t completed = 0;
     uint64_t rejectedFull = 0;
     double directBatchSeconds = 0.0; ///< engine-level median
-    double maxAbsDiff = 0.0;         ///< vs single-engine reference
+    double maxAbsDiff = 0.0;         ///< vs per-shard composition
+    bool bitIdentical = true;        ///< vs per-shard composition
 };
 
 core::KnowledgeBase
@@ -249,14 +251,14 @@ main(int argc, char **argv)
         smoke ? std::vector<size_t>{2} : std::vector<size_t>{2, 4, 8};
 
     std::vector<ModeResult> modes;
-    modes.push_back({"replicated", 0, {}, {}, 0.0, 0, 0, 0.0, 0.0});
+    modes.push_back(
+        {"replicated", 0, {}, {}, 0.0, 0, 0, 0.0, 0.0, true});
     for (size_t s : shard_counts)
         modes.push_back({"sharded[" + std::to_string(s) + "]", s, {},
-                         {}, 0.0, 0, 0, 0.0, 0.0});
+                         {}, 0.0, 0, 0, 0.0, 0.0, true});
 
-    // Engine-level reference outputs for the equivalence column: one
-    // full-KB engine whose group decomposition matches each shard
-    // count (see sharded_engine.hh).
+    // Engine-level equivalence column: the grouped engine against the
+    // per-shard partials the cluster merges (see sharded_engine.hh).
     for (ModeResult &m : modes) {
         serve::LiveServerConfig lcfg;
         lcfg.maxBatch = max_batch;
@@ -273,17 +275,31 @@ main(int argc, char **argv)
             core::EngineConfig scfg = ecfg;
             scfg.threads = workers;
             core::ShardedEngine eng(skb, scfg);
-            core::EngineConfig rcfg = ecfg;
-            rcfg.scheduleGroups = skb.shardCount();
-            core::ColumnEngine ref(kb, rcfg);
             std::vector<float> o_sharded(max_batch * ed);
-            std::vector<float> o_ref(max_batch * ed);
             eng.inferBatch(uflat.data(), max_batch, o_sharded.data());
-            ref.inferBatch(uflat.data(), max_batch, o_ref.data());
-            for (size_t i = 0; i < o_ref.size(); ++i)
+
+            core::EngineConfig ncfg = ecfg;
+            ncfg.scheduleGroups = 1;
+            std::vector<core::StreamPartial> parts(skb.shardCount());
+            std::vector<const core::StreamPartial *> ptrs;
+            for (size_t s = 0; s < skb.shardCount(); ++s) {
+                core::ColumnEngine node(skb.shard(s), ncfg);
+                node.inferPartial(uflat.data(), max_batch, parts[s]);
+                ptrs.push_back(&parts[s]);
+            }
+            std::vector<float> o_composed(max_batch * ed);
+            core::mergeStreamPartials(ptrs.data(), ptrs.size(),
+                                      max_batch, ed,
+                                      ecfg.onlineNormalize,
+                                      o_composed.data());
+            for (size_t i = 0; i < o_composed.size(); ++i)
                 m.maxAbsDiff = std::max(
                     m.maxAbsDiff,
-                    double(std::fabs(o_sharded[i] - o_ref[i])));
+                    double(std::fabs(o_sharded[i] - o_composed[i])));
+            m.bitIdentical =
+                std::memcmp(o_sharded.data(), o_composed.data(),
+                            o_composed.size() * sizeof(float))
+                == 0;
             std::vector<double> t(smoke ? 3 : 7);
             Timer timer;
             for (double &s : t) {
@@ -361,6 +377,7 @@ main(int argc, char **argv)
         json.endObject();
         json.field("direct_batch_seconds", m.directBatchSeconds);
         json.field("max_abs_diff_vs_reference", m.maxAbsDiff);
+        json.field("bit_identical", m.bitIdentical);
         json.endObject();
     }
     json.endArray();
@@ -374,5 +391,14 @@ main(int argc, char **argv)
                 "instead of timeslicing concurrent batches, which is "
                 "the per-question latency win. max|diff| is 0 by the "
                 "chunk-aligned merge-exactness guarantee.\n");
+    for (const ModeResult &m : modes) {
+        if (!m.bitIdentical) {
+            std::fprintf(stderr,
+                         "\nBIT-IDENTITY FAILURE: %s differs from the "
+                         "per-shard composition (max|diff| %g)\n",
+                         m.label.c_str(), m.maxAbsDiff);
+            return 1;
+        }
+    }
     return 0;
 }

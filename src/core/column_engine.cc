@@ -47,7 +47,72 @@ prefetchBytes(const void *ptr, size_t bytes, size_t stride)
 /** Oversubscription factor for the automatic group count. */
 constexpr size_t kAutoGroupsPerWorker = 4;
 
+/** One online-softmax state, as pointers into its owner's buffers. */
+struct PartialRef
+{
+    const float *o;
+    const double *expSum;
+    const float *runMax;
+};
+
+/**
+ * The online-softmax merge (see StreamPartial) that every merge of
+ * partials runs: fold the `n` states part(0), ..., part(n - 1) in
+ * that order into `o` (nq x ed). When `expSum`/`runMax` are given
+ * they receive each question's merged exp sum and maximum and `o`
+ * stays undivided (the partial entry point); when null, `o` gets the
+ * single lazy-softmax division instead. States with a zero exp sum
+ * are skipped under online normalization, where their -inf maximum
+ * would make the rescale NaN. With one state and no division the
+ * result is a bit-exact copy (0 + x and 1.0 * x are exact).
+ */
+template <class PartAt>
+void
+mergeOnlineSoftmax(size_t n, PartAt part, size_t nq, size_t ed,
+                   bool online, float *o, double *expSum, float *runMax)
+{
+    for (size_t q = 0; q < nq; ++q) {
+        float gmax = -std::numeric_limits<float>::infinity();
+        if (online)
+            for (size_t i = 0; i < n; ++i)
+                gmax = std::max(gmax, part(i).runMax[q]);
+        double s = 0.0;
+        float *oq = o + q * ed;
+        blas::zero(oq, ed);
+        for (size_t i = 0; i < n; ++i) {
+            const PartialRef p = part(i);
+            if (online && p.expSum[q] == 0.0)
+                continue;
+            const float scale =
+                online ? std::exp(p.runMax[q] - gmax) : 1.0f;
+            s += p.expSum[q] * scale;
+            blas::axpy(scale, p.o + q * ed, oq, ed);
+        }
+        if (expSum) {
+            expSum[q] = s;
+            runMax[q] = gmax;
+        } else {
+            blas::scal(static_cast<float>(1.0 / s), oq, ed);
+        }
+    }
+}
+
 } // namespace
+
+void
+mergeStreamPartials(const StreamPartial *const *parts, size_t nParts,
+                    size_t nq, size_t ed, bool onlineNormalize,
+                    float *o)
+{
+    mergeOnlineSoftmax(
+        nParts,
+        [parts](size_t i) {
+            return PartialRef{parts[i]->o.data(),
+                              parts[i]->expSum.data(),
+                              parts[i]->runMax.data()};
+        },
+        nq, ed, onlineNormalize, o, nullptr, nullptr);
+}
 
 ColumnEngine::ColumnEngine(const KnowledgeBase &kb, const EngineConfig &cfg)
     : kb(kb), cfg(cfg), pool(cfg.threads)
@@ -168,12 +233,8 @@ void
 ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
                             size_t row_end,
                             const runtime::KernelPlan &plan, Partial &out,
-                            size_t worker, uint64_t &kept,
-                            uint64_t &skipped,
-                            runtime::ScratchArena &scratch,
-                            const uint8_t *sel, size_t sel_stride,
-                            uint64_t &routed_rows,
-                            uint64_t &bypassed) const
+                            size_t worker, runtime::ScratchArena &scratch,
+                            const uint8_t *sel, size_t sel_stride) const
 {
     const size_t ed = kb.dim();
     const size_t chunk = cfg.chunkSize;
@@ -223,6 +284,10 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
     }
     const size_t first_chunk = row_begin / chunk;
     Timer phase_timer;
+    // Group-local totals and phase times, stored into `out` once at
+    // the end (see Partial).
+    RunTotals totals;
+    double t_inner = 0.0, t_soft = 0.0, t_wsum = 0.0;
 
     for (size_t c0 = row_begin; c0 < row_end; c0 += chunk) {
         const size_t c1 = std::min(c0 + chunk, row_end);
@@ -239,10 +304,10 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
                 if (sel[q * sel_stride + ci])
                     qsel[nb++] = static_cast<uint32_t>(q);
             if (nb == 0) {
-                ++bypassed;
+                ++totals.bypassed;
                 continue;
             }
-            routed_rows += len * nb;
+            totals.routedRows += len * nb;
         }
 
         // Streaming: the next chunk's rows are prefetched strip-by-
@@ -311,7 +376,7 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
                                     ed, ed, t + (g0 - c0), chunk);
             });
         }
-        out.tInner += phase_timer.seconds();
+        t_inner += phase_timer.seconds();
 
         // Phase 2 (partial softmax): exponential + running sum. In
         // online mode the accumulators are rescaled whenever a new
@@ -333,7 +398,7 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
                 blas::expInplace(tq, len);
             }
         }
-        out.tSoftmax += phase_timer.seconds();
+        t_soft += phase_timer.seconds();
 
         // Phase 3: fused weighted sum with optional zero-skipping,
         // query-blocked like phase 1 — a kept M_OUT row is loaded once
@@ -351,10 +416,11 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
             kb.forEachGroup(c0 + s0, c0 + s1, [&](size_t g0, size_t g1) {
                 blas::weightedSumSkipMulti(
                     t + (g0 - c0), nb, chunk, kb.moutRows(g0), g1 - g0,
-                    ed, ed, th, psum, acc, ed, kept, skipped);
+                    ed, ed, th, psum, acc, ed, totals.kept,
+                    totals.skipped);
             });
         }
-        out.tWsum += phase_timer.seconds();
+        t_wsum += phase_timer.seconds();
 
         if (compact) {
             for (size_t j = 0; j < nb; ++j) {
@@ -368,6 +434,10 @@ ColumnEngine::processChunks(const float *u, size_t nq, size_t row_begin,
         if (cfg.chunkObserver)
             cfg.chunkObserver(worker, c0 / chunk);
     }
+    out.totals = totals;
+    out.tInner = t_inner;
+    out.tSoftmax = t_soft;
+    out.tWsum = t_wsum;
 }
 
 const uint8_t *
@@ -438,7 +508,7 @@ ColumnEngine::selectGroup(const float *u, size_t nq,
     return sel;
 }
 
-ColumnEngine::RunTotals
+void
 ColumnEngine::runGroups(const float *u, size_t nq)
 {
     const size_t ns = kb.size();
@@ -481,15 +551,7 @@ ColumnEngine::runGroups(const float *u, size_t nq)
         std::fill(p.psum, p.psum + nq, 0.0);
         std::fill(p.runmax, p.runmax + nq,
                   -std::numeric_limits<float>::infinity());
-        p.tInner = p.tSoftmax = p.tWsum = 0.0;
     }
-
-    // Per-worker slots, indexed by the unique worker/part id, so the
-    // hot path needs no merge lock.
-    keptPerWorker.assign(workers, 0);
-    skippedPerWorker.assign(workers, 0);
-    routedPerWorker.assign(workers, 0);
-    bypassedPerWorker.assign(workers, 0);
 
     auto runGroup = [&](size_t worker, size_t g) {
         const runtime::Range cr = groups[g];
@@ -497,18 +559,17 @@ ColumnEngine::runGroups(const float *u, size_t nq)
         // Any span a previous group claimed on this worker is dead by
         // now; steady state is a pure bump-pointer rewind.
         scratch.reset();
-        // Selection is per chunk group: shard s of a ShardedEngine
-        // sees exactly group s's rows, so group-local selection is
-        // what makes routing compose with sharding bit-identically.
+        // Selection is per chunk group: a shard engine over exactly
+        // group s's rows makes the same choice, so group-local
+        // selection is what makes routing compose with sharding
+        // bit-identically.
         const uint8_t *sel =
             routed ? selectGroup(u, nq, cr, bound_plan, scratch)
                    : nullptr;
         processChunks(u, nq, cr.begin * cfg.chunkSize,
                       std::min(ns, cr.end * cfg.chunkSize), plan,
-                      partials[g], worker, keptPerWorker[worker],
-                      skippedPerWorker[worker], scratch, sel,
-                      cr.end - cr.begin, routedPerWorker[worker],
-                      bypassedPerWorker[worker]);
+                      partials[g], worker, scratch, sel,
+                      cr.end - cr.begin);
     };
 
     if (cfg.schedule == Schedule::Dynamic) {
@@ -526,60 +587,36 @@ ColumnEngine::runGroups(const float *u, size_t nq)
                     runGroup(part, g);
             });
     }
+}
 
-    RunTotals totals;
-    totals.nChunks = n_chunks;
-    for (size_t w = 0; w < workers; ++w) {
-        totals.kept += keptPerWorker[w];
-        totals.skipped += skippedPerWorker[w];
-        totals.routedRows += routedPerWorker[w];
-        totals.bypassed += bypassedPerWorker[w];
-    }
-    return totals;
+void
+ColumnEngine::mergeGroups(size_t nq, float *o, double *expSum,
+                          float *runMax) const
+{
+    mergeOnlineSoftmax(
+        partials.size(),
+        [this](size_t g) {
+            const Partial &p = partials[g];
+            return PartialRef{p.o, p.psum, p.runmax};
+        },
+        nq, kb.dim(), cfg.onlineNormalize, o, expSum, runMax);
 }
 
 void
 ColumnEngine::inferBatch(const float *u, size_t nq, float *o)
 {
-    const size_t ed = kb.dim();
     Timer timer;
-    const RunTotals totals = runGroups(u, nq);
+    runGroups(u, nq);
 
     // Merge partials in group order (deterministic; see header) and
     // apply the lazy softmax division: O(ed) divisions per question
     // instead of O(ns).
-    if (cfg.onlineNormalize) {
-        for (size_t q = 0; q < nq; ++q) {
-            float gmax = -std::numeric_limits<float>::infinity();
-            for (const Partial &p : partials)
-                gmax = std::max(gmax, p.runmax[q]);
-            double s = 0.0;
-            blas::zero(o + q * ed, ed);
-            for (const Partial &p : partials) {
-                if (p.psum[q] == 0.0)
-                    continue;
-                const float scale = std::exp(p.runmax[q] - gmax);
-                s += p.psum[q] * scale;
-                blas::axpy(scale, p.o + q * ed, o + q * ed, ed);
-            }
-            blas::scal(static_cast<float>(1.0 / s), o + q * ed, ed);
-        }
-    } else {
-        for (size_t q = 0; q < nq; ++q) {
-            double s = 0.0;
-            blas::zero(o + q * ed, ed);
-            for (const Partial &p : partials) {
-                s += p.psum[q];
-                blas::axpy(1.0f, p.o + q * ed, o + q * ed, ed);
-            }
-            blas::scal(static_cast<float>(1.0 / s), o + q * ed, ed);
-        }
-    }
+    mergeGroups(nq, o, nullptr, nullptr);
 
     // The lazy-softmax division happened above; the partial entry
     // point defers it to the gathering merge.
-    counterGroup["div_ops"].add(nq * ed);
-    recordRunStats(totals, nq, timer.seconds());
+    counterGroup["div_ops"].add(nq * kb.dim());
+    recordRunStats(nq, timer.seconds());
 }
 
 void
@@ -587,57 +624,24 @@ ColumnEngine::inferPartial(const float *u, size_t nq, StreamPartial &out)
 {
     const size_t ed = kb.dim();
     Timer timer;
-    const RunTotals totals = runGroups(u, nq);
+    runGroups(u, nq);
 
     out.nq = nq;
     out.o.resize(nq * ed);
     out.expSum.resize(nq);
     out.runMax.resize(nq);
 
-    // Merge the group partials in group order with exactly the same
-    // operation sequence as inferBatch — minus the division, which
+    // The same group merge as inferBatch, minus the division, which
     // the gather side applies after the cross-shard merge. With a
-    // single group this is a bit-exact copy of its accumulators
-    // (0 + x and 1.0 * x are exact), the property the sharded
-    // bit-identity guarantee rests on.
-    if (cfg.onlineNormalize) {
-        for (size_t q = 0; q < nq; ++q) {
-            float gmax = -std::numeric_limits<float>::infinity();
-            for (const Partial &p : partials)
-                gmax = std::max(gmax, p.runmax[q]);
-            double s = 0.0;
-            blas::zero(out.o.data() + q * ed, ed);
-            for (const Partial &p : partials) {
-                if (p.psum[q] == 0.0)
-                    continue;
-                const float scale = std::exp(p.runmax[q] - gmax);
-                s += p.psum[q] * scale;
-                blas::axpy(scale, p.o + q * ed, out.o.data() + q * ed,
-                           ed);
-            }
-            out.expSum[q] = s;
-            out.runMax[q] = gmax;
-        }
-    } else {
-        for (size_t q = 0; q < nq; ++q) {
-            double s = 0.0;
-            blas::zero(out.o.data() + q * ed, ed);
-            for (const Partial &p : partials) {
-                s += p.psum[q];
-                blas::axpy(1.0f, p.o + q * ed, out.o.data() + q * ed,
-                           ed);
-            }
-            out.expSum[q] = s;
-            out.runMax[q] = -std::numeric_limits<float>::infinity();
-        }
-    }
+    // single group this is a bit-exact copy of its accumulators —
+    // the property per-shard partials rest on.
+    mergeGroups(nq, out.o.data(), out.expSum.data(), out.runMax.data());
 
-    recordRunStats(totals, nq, timer.seconds());
+    recordRunStats(nq, timer.seconds());
 }
 
 void
-ColumnEngine::recordRunStats(const RunTotals &totals, size_t nq,
-                             double wall_seconds)
+ColumnEngine::recordRunStats(size_t nq, double wall_seconds)
 {
     // Attribute phase times. With workers, per-group phase seconds
     // overlap in wall-clock; dividing by the worker count gives the
@@ -645,10 +649,15 @@ ColumnEngine::recordRunStats(const RunTotals &totals, size_t nq,
     // for the Fig. 9a breakdown).
     const size_t workers = std::max<size_t>(1, pool.threadCount());
     double t_inner = 0.0, t_soft = 0.0, t_wsum = 0.0;
+    RunTotals totals;
     for (const Partial &p : partials) {
         t_inner += p.tInner;
         t_soft += p.tSoftmax;
         t_wsum += p.tWsum;
+        totals.kept += p.totals.kept;
+        totals.skipped += p.totals.skipped;
+        totals.routedRows += p.totals.routedRows;
+        totals.bypassed += p.totals.bypassed;
     }
     const double denom = static_cast<double>(workers);
     times.innerProduct += t_inner / denom;
@@ -665,7 +674,8 @@ ColumnEngine::recordRunStats(const RunTotals &totals, size_t nq,
     counterGroup["intermediate_bytes"].reset();
     counterGroup["intermediate_bytes"].add(scratch_bytes);
 
-    counterGroup["chunks_processed"].add(totals.nChunks);
+    const size_t n_chunks = (kb.size() + cfg.chunkSize - 1) / cfg.chunkSize;
+    counterGroup["chunks_processed"].add(n_chunks);
     counterGroup["rows_kept"].add(totals.kept);
     counterGroup["rows_skipped"].add(totals.skipped);
     if (routingActive()) {
@@ -677,8 +687,7 @@ ColumnEngine::recordRunStats(const RunTotals &totals, size_t nq,
                                         * kb.dim());
         counterGroup["rows_routed"].add(totals.routedRows);
         counterGroup["chunks_bypassed"].add(totals.bypassed);
-        counterGroup["flops_route"].add(4ull * nq * totals.nChunks
-                                        * kb.dim());
+        counterGroup["flops_route"].add(4ull * nq * n_chunks * kb.dim());
     } else {
         counterGroup["flops_inner"].add(2ull * nq * kb.size()
                                         * kb.dim());

@@ -110,9 +110,9 @@ namespace mnnfast::core {
  *   S  = S_a * e^(m_a - m) + S_b * e^(m_b - m)
  *   o  = o_a * e^(m_a - m) + o_b * e^(m_b - m)
  *
- * which is the same algebra ColumnEngine already applies to its
- * per-group partials. Produced by ColumnEngine::inferPartial and
- * consumed by ShardedEngine's canonical shard-order merge.
+ * which is the same algebra ColumnEngine applies to its per-group
+ * partials — one merge routine serves both. Produced by
+ * ColumnEngine::inferPartial and consumed by mergeStreamPartials.
  */
 struct StreamPartial
 {
@@ -121,6 +121,24 @@ struct StreamPartial
     std::vector<float> runMax;  ///< nq running maxima
     size_t nq = 0;              ///< questions this partial covers
 };
+
+/**
+ * Merge StreamPartials — in the order given, which must be the
+ * canonical shard order for bit-identity — with the online-softmax
+ * algebra, and apply the single deferred lazy-softmax division. This
+ * is the gather of partials that crossed the wire
+ * (net::ClusterFrontEnd). It runs the very merge ColumnEngine applies
+ * to its chunk groups, so per-shard partials gathered here agree
+ * bit-for-bit with one engine whose group s is shard s (see
+ * sharded_engine.hh).
+ *
+ * Every partial must cover `nq` questions of dimension `ed`.
+ * `onlineNormalize` must match the engine config the partials were
+ * produced under (it decides whether runMax rescaling applies).
+ */
+void mergeStreamPartials(const StreamPartial *const *parts,
+                         size_t nParts, size_t nq, size_t ed,
+                         bool onlineNormalize, float *o);
 
 /** Column-based (chunked, lazy-softmax) engine. See file header. */
 class ColumnEngine : public InferenceEngine
@@ -148,8 +166,8 @@ class ColumnEngine : public InferenceEngine
      *
      * When this engine's group decomposition has exactly one group
      * (scheduleGroups = 1), `out` *is* that group's accumulator state
-     * bit-for-bit — the property ShardedEngine builds its
-     * bit-identity guarantee on.
+     * bit-for-bit — the property the cluster's per-shard nodes build
+     * their bit-identity guarantee on.
      */
     void inferPartial(const float *u, size_t nq, StreamPartial &out);
 
@@ -159,35 +177,48 @@ class ColumnEngine : public InferenceEngine
     size_t chunkSize() const { return cfg.chunkSize; }
 
   private:
+    /** Zero-skip and routing totals of a pass (or of one group). */
+    struct RunTotals
+    {
+        uint64_t kept = 0;
+        uint64_t skipped = 0;
+        /** (question, row) pairs streamed in phase 1 (routing only). */
+        uint64_t routedRows = 0;
+        /** Chunks bypassed because no question selected them. */
+        uint64_t bypassed = 0;
+    };
+
     /**
      * Per-group accumulation state for a span of chunks. The buffers
      * are arena spans claimed at the start of each inferBatch (valid
      * for that call only); the struct itself is reused across calls.
+     * The totals and phase seconds are written once, when the group
+     * finishes: neighbouring groups run on other workers, and per-row
+     * or per-chunk writes to adjacent slots would share cache lines.
      */
     struct Partial
     {
         float *o = nullptr;       ///< nq x ed weighted-sum accumulator
         double *psum = nullptr;   ///< nq running sums of exp values
         float *runmax = nullptr;  ///< nq running maxima (online mode)
+        RunTotals totals;         ///< this group's skip/routing totals
         double tInner = 0.0;      ///< seconds in inner products
         double tSoftmax = 0.0;    ///< seconds in exp/rescale
         double tWsum = 0.0;       ///< seconds in weighted sum
     };
 
     /**
-     * Stream the chunks of rows [row_begin, row_end) into `out`.
-     * `sel`, when non-null, is this group's routing mask —
-     * sel[q * sel_stride + ci] for group-local chunk ci — and
-     * `routed_rows` / `bypassed` accumulate the (question, row) pairs
-     * actually streamed and the chunks skipped outright. The caller
-     * resets `scratch` before any claims tied to this group.
+     * Stream the chunks of rows [row_begin, row_end) into `out`,
+     * including its totals and phase times. `sel`, when non-null, is
+     * this group's routing mask — sel[q * sel_stride + ci] for
+     * group-local chunk ci. The caller resets `scratch` before any
+     * claims tied to this group.
      */
     void processChunks(const float *u, size_t nq, size_t row_begin,
                        size_t row_end, const runtime::KernelPlan &plan,
-                       Partial &out, size_t worker, uint64_t &kept,
-                       uint64_t &skipped, runtime::ScratchArena &scratch,
-                       const uint8_t *sel, size_t sel_stride,
-                       uint64_t &routed_rows, uint64_t &bypassed) const;
+                       Partial &out, size_t worker,
+                       runtime::ScratchArena &scratch,
+                       const uint8_t *sel, size_t sel_stride) const;
 
     /** True when a coarse selection policy is configured. */
     bool routingActive() const
@@ -216,29 +247,24 @@ class ColumnEngine : public InferenceEngine
     /** Group decomposition for the current KB size (cached). */
     const std::vector<runtime::Range> &chunkGroups(size_t n_chunks);
 
-    /** Zero-skip and routing totals of one pass over the groups. */
-    struct RunTotals
-    {
-        uint64_t kept = 0;
-        uint64_t skipped = 0;
-        size_t nChunks = 0;
-        /** (question, row) pairs streamed in phase 1 (routing only). */
-        uint64_t routedRows = 0;
-        /** Chunks bypassed because no question selected them. */
-        uint64_t bypassed = 0;
-    };
-
     /**
      * The shared pass: schedule every chunk group across the pool,
      * leaving per-group accumulators in `partials`. inferBatch merges
      * them with the final division; inferPartial merges them into a
      * StreamPartial without it.
      */
-    RunTotals runGroups(const float *u, size_t nq);
+    void runGroups(const float *u, size_t nq);
+
+    /**
+     * Merge `partials` in group order into o (nq x ed). With
+     * expSum/runMax given, store the merged state and leave o
+     * undivided; with both null, apply the lazy-softmax division.
+     */
+    void mergeGroups(size_t nq, float *o, double *expSum,
+                     float *runMax) const;
 
     /** Phase-time/counter accounting shared by both entry points. */
-    void recordRunStats(const RunTotals &totals, size_t nq,
-                        double wall_seconds);
+    void recordRunStats(size_t nq, double wall_seconds);
 
     const KnowledgeBase &kb;
     EngineConfig cfg;
@@ -249,10 +275,6 @@ class ColumnEngine : public InferenceEngine
     std::vector<runtime::ScratchArena> workerArenas; ///< chunk tiles
     runtime::ScratchArena partialArena;              ///< group partials
     std::vector<Partial> partials;
-    std::vector<uint64_t> keptPerWorker;
-    std::vector<uint64_t> skippedPerWorker;
-    std::vector<uint64_t> routedPerWorker;
-    std::vector<uint64_t> bypassedPerWorker;
     std::vector<runtime::Range> groupCache;
     size_t groupCacheChunks = 0; ///< n_chunks groupCache was built for
 

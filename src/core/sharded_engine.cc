@@ -1,22 +1,19 @@
 #include "core/sharded_engine.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
-#include "blas/kernels.hh"
-#include "runtime/parallel_for.hh"
 #include "util/logging.hh"
-#include "util/timer.hh"
 
 namespace mnnfast::core {
 
-ShardedEngine::ShardedEngine(const ShardedKnowledgeBase &skb,
-                             const EngineConfig &cfg)
-    : skb(skb), cfg(cfg), pool(cfg.threads)
+namespace {
+
+/** cfg with one chunk group per shard, after checking that the
+ *  partition's boundaries are chunk-group boundaries (a zero chunk
+ *  size never matches: the partition's is at least 1). */
+EngineConfig
+shardGroupConfig(const ShardedKnowledgeBase &skb, EngineConfig cfg)
 {
-    if (cfg.chunkSize == 0)
-        fatal("sharded engine chunk size must be nonzero");
     const size_t effective =
         std::min(cfg.chunkSize, skb.parent().size());
     if (effective != skb.chunkSize())
@@ -24,158 +21,24 @@ ShardedEngine::ShardedEngine(const ShardedKnowledgeBase &skb,
               "partition's %zu — shard boundaries would not be "
               "chunk-aligned",
               effective, skb.chunkSize());
+    cfg.scheduleGroups = skb.shardCount();
+    return cfg;
+}
 
-    engines.reserve(skb.shardCount());
-    for (size_t s = 0; s < skb.shardCount(); ++s) {
-        EngineConfig scfg = cfg;
-        scfg.threads = 0;        // the scatter pool is the parallelism
-        scfg.scheduleGroups = 1; // one group -> exact shard partial
-        if (cfg.chunkObserver) {
-            // Translate shard-local chunk indices back to global ones
-            // so observers see the same chunk numbering as a single
-            // engine; the shard index doubles as the worker slot
-            // (unique among concurrently running shards).
-            const size_t chunk0 = skb.rows(s).begin / skb.chunkSize();
-            auto inner = cfg.chunkObserver;
-            scfg.chunkObserver = [inner, s, chunk0](size_t,
-                                                    size_t chunk) {
-                inner(s, chunk0 + chunk);
-            };
-        }
-        engines.push_back(
-            std::make_unique<ColumnEngine>(skb.shard(s), scfg));
-    }
-    parts.resize(engines.size());
-    partPtrs.resize(parts.size());
-    for (size_t s = 0; s < parts.size(); ++s)
-        partPtrs[s] = &parts[s];
+} // namespace
 
-    displayName = "sharded[" + std::to_string(engines.size()) + "]+" +
-                  engines.front()->name();
+ShardedEngine::ShardedEngine(const ShardedKnowledgeBase &skb,
+                             const EngineConfig &cfg)
+    : ColumnEngine(skb.parent(), shardGroupConfig(skb, cfg)),
+      displayName("sharded[" + std::to_string(skb.shardCount())
+                  + "]+" + ColumnEngine::name())
+{
 }
 
 const char *
 ShardedEngine::name() const
 {
     return displayName.c_str();
-}
-
-const ColumnEngine &
-ShardedEngine::shardEngine(size_t s) const
-{
-    mnn_assert(s < engines.size(), "shard index out of range");
-    return *engines[s];
-}
-
-void
-ShardedEngine::inferBatch(const float *u, size_t nq, float *o)
-{
-    Timer timer;
-
-    // Scatter: each shard's engine streams its partition into its own
-    // partial slot. Shards are independent and slot-isolated, so the
-    // schedule decides wall-clock only, never the result.
-    auto runShard = [&](size_t s) {
-        engines[s]->inferPartial(u, nq, parts[s]);
-    };
-    if (cfg.schedule == Schedule::Dynamic) {
-        runtime::parallelForDynamic(
-            pool, engines.size(), 1,
-            [&](size_t, runtime::Range r) {
-                for (size_t s = r.begin; s < r.end; ++s)
-                    runShard(s);
-            });
-    } else {
-        runtime::parallelForParts(
-            pool, engines.size(),
-            std::max<size_t>(1, pool.threadCount()),
-            [&](size_t, runtime::Range r) {
-                for (size_t s = r.begin; s < r.end; ++s)
-                    runShard(s);
-            });
-    }
-
-    gather(nq, o);
-
-    // Aggregate accounting: drain the shard engines' phase times and
-    // counters into this engine's, so callers see whole-KB totals.
-    // Shard phase seconds overlap in wall-clock across pool workers;
-    // dividing by the worker count gives the effective contribution
-    // (exact when the scatter runs inline).
-    const double denom =
-        static_cast<double>(std::max<size_t>(1, pool.threadCount()));
-    double attributed = 0.0;
-    for (auto &e : engines) {
-        const OpBreakdown &b = e->breakdown();
-        times.innerProduct += b.innerProduct / denom;
-        times.softmax += b.softmax / denom;
-        times.weightedSum += b.weightedSum / denom;
-        attributed += b.total() / denom;
-        e->clearBreakdown();
-    }
-    times.other += std::max(0.0, timer.seconds() - attributed);
-
-    uint64_t scratch_bytes = 0;
-    for (auto &e : engines) {
-        for (const auto &kv : e->counters().all()) {
-            if (kv.first == "intermediate_bytes")
-                scratch_bytes += kv.second.value();
-            else
-                counterGroup[kv.first].add(kv.second.value());
-        }
-        e->counters().resetAll();
-    }
-    counterGroup["intermediate_bytes"].reset();
-    counterGroup["intermediate_bytes"].add(scratch_bytes);
-    // The deferred division happens once, in the gather.
-    counterGroup["div_ops"].add(nq * skb.parent().dim());
-}
-
-void
-mergeStreamPartials(const StreamPartial *const *parts, size_t nParts,
-                    size_t nq, size_t ed, bool onlineNormalize,
-                    float *o)
-{
-    // The same operation sequence as ColumnEngine::inferBatch's group
-    // merge — caller-given (canonical) order, psum == 0 skip, one
-    // division — so a gather over partials replays the reference
-    // merge exactly (see the file header).
-    if (onlineNormalize) {
-        for (size_t q = 0; q < nq; ++q) {
-            float gmax = -std::numeric_limits<float>::infinity();
-            for (size_t i = 0; i < nParts; ++i)
-                gmax = std::max(gmax, parts[i]->runMax[q]);
-            double s = 0.0;
-            blas::zero(o + q * ed, ed);
-            for (size_t i = 0; i < nParts; ++i) {
-                const StreamPartial &p = *parts[i];
-                if (p.expSum[q] == 0.0)
-                    continue;
-                const float scale = std::exp(p.runMax[q] - gmax);
-                s += p.expSum[q] * scale;
-                blas::axpy(scale, p.o.data() + q * ed, o + q * ed, ed);
-            }
-            blas::scal(static_cast<float>(1.0 / s), o + q * ed, ed);
-        }
-    } else {
-        for (size_t q = 0; q < nq; ++q) {
-            double s = 0.0;
-            blas::zero(o + q * ed, ed);
-            for (size_t i = 0; i < nParts; ++i) {
-                const StreamPartial &p = *parts[i];
-                s += p.expSum[q];
-                blas::axpy(1.0f, p.o.data() + q * ed, o + q * ed, ed);
-            }
-            blas::scal(static_cast<float>(1.0 / s), o + q * ed, ed);
-        }
-    }
-}
-
-void
-ShardedEngine::gather(size_t nq, float *o)
-{
-    mergeStreamPartials(partPtrs.data(), partPtrs.size(), nq,
-                        skb.parent().dim(), cfg.onlineNormalize, o);
 }
 
 } // namespace mnnfast::core

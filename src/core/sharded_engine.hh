@@ -1,119 +1,72 @@
 /**
  * @file
  * Scatter/gather inference over a sharded knowledge base (paper §6):
- * one ColumnEngine per shard streams its partition and produces a
- * StreamPartial (running max, rescaled exp-sum, rescaled weighted
- * sum); the gather side merges the partials in canonical shard order
- * with the online-softmax algebra and applies the single deferred
- * lazy-softmax division.
+ * each shard streams its partition into an online-softmax partial
+ * (running max, rescaled exp-sum, rescaled weighted sum); the gather
+ * merges the partials in canonical shard order and applies the single
+ * deferred lazy-softmax division.
  *
- * Bit-identity guarantee: a ShardedEngine over S shards produces
- * *bit-identical* outputs to a single ColumnEngine over the whole KB
- * configured with scheduleGroups = S (any thread count, either
- * schedule). The argument has three legs:
+ * In process, that scatter/gather *is* ColumnEngine's chunk-group
+ * sweep: ShardedKnowledgeBase splits the chunks with the same
+ * splitRange decomposition as ColumnEngine::chunkGroups, so shard s
+ * covers exactly chunk group s of an engine over the parent KB with
+ * scheduleGroups = S. A ShardedEngine is that engine — its pool
+ * streams the groups (shards) and its group merge is the gather — so
+ * it is bit-identical to a ColumnEngine with scheduleGroups = S by
+ * construction (any thread count, either schedule).
  *
- *  1. ShardedKnowledgeBase uses the same splitRange decomposition as
- *     ColumnEngine::chunkGroups, so shard s covers exactly chunk
- *     group s — the same rows, swept with the same chunk size and the
- *     same kStreamStrip strips, so every kernel call sees identical
- *     operands. Zero-skip decisions depend only on the group-local
- *     running sum, which starts at zero per group in both layouts.
- *  2. Each per-shard engine runs with scheduleGroups = 1, so its
- *     StreamPartial is that single group's accumulator state
- *     bit-for-bit (see ColumnEngine::inferPartial).
- *  3. The gather merge below is the same operation sequence as
- *     ColumnEngine::inferBatch's group merge (same order, same
- *     psum == 0 skip, same division), just spelled over shards.
+ * The cluster (net::ShardNode + net::ClusterFrontEnd) composes the
+ * same result from separate engines: one ColumnEngine per shard view
+ * with scheduleGroups = 1, whose inferPartial output is that single
+ * group's accumulator state bit-for-bit, then mergeStreamPartials,
+ * which runs the engine's own group merge over the shard partials.
+ * Within a shard, every kernel call sees the same operands as group s
+ * of the whole-KB engine — same rows, same chunk size, same strips —
+ * and zero-skip decisions depend only on the group-local running sum,
+ * which starts at zero per group in both layouts. The sharding tests
+ * check this composition against ShardedEngine.
  *
- * Which worker streams which shard, and when, therefore never changes
- * the result — exactly the property that lets a serving layer scatter
- * one batch across its worker pool.
+ * Coarse routing (cfg.routePolicy, DESIGN.md §11) composes with both
+ * layouts because selection is *per chunk group*: a shard engine
+ * scores and selects over exactly group s's chunks, the selection the
+ * whole-KB engine makes for group s.
  *
- * Coarse routing (cfg.routePolicy, DESIGN.md §11) composes with this
- * guarantee because selection is *per chunk group*: shard s's engine
- * builds its ChunkSummaryIndex over exactly chunk group s's rows and
- * scores/selects over that group alone — precisely the selection the
- * single engine with scheduleGroups = S makes for group s. Leg 1
- * above then extends row-for-row to the routed sweep: both layouts
- * bypass the same chunks and compact the same question sub-batches.
- *
- * Per-shard engines keep their own counters (read through
- * shardEngine(s) for per-shard attribution, e.g. rows skipped per
- * partition); this engine drains them into its aggregate CounterGroup
- * after every batch, so counters() reports whole-KB totals exactly
- * like a single engine.
+ * Counters and phase times are the grouped engine's own, so
+ * counters() reports whole-KB totals exactly like a single engine.
  */
 
 #ifndef MNNFAST_CORE_SHARDED_ENGINE_HH
 #define MNNFAST_CORE_SHARDED_ENGINE_HH
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "core/column_engine.hh"
 #include "core/sharded_knowledge_base.hh"
-#include "runtime/thread_pool.hh"
 
 namespace mnnfast::core {
 
-/**
- * Merge shard StreamPartials — in the order given, which must be the
- * canonical shard order for bit-identity — with the online-softmax
- * algebra, and apply the single deferred lazy-softmax division. This
- * is the one gather implementation: ShardedEngine uses it for its
- * in-process pool and net::ClusterFrontEnd for partials that crossed
- * the wire, so the two agree bit-for-bit by construction.
- *
- * Every partial must cover `nq` questions of dimension `ed`.
- * `onlineNormalize` must match the engine config the partials were
- * produced under (it decides whether runMax rescaling applies).
- */
-void mergeStreamPartials(const StreamPartial *const *parts,
-                         size_t nParts, size_t nq, size_t ed,
-                         bool onlineNormalize, float *o);
-
 /** Scatter/gather engine over a ShardedKnowledgeBase. See header. */
-class ShardedEngine : public InferenceEngine
+class ShardedEngine : public ColumnEngine
 {
   public:
     /**
-     * @param skb Shard partition; must outlive the engine (as must
-     *            its parent KB). The partition's chunk size should
-     *            match cfg.chunkSize for the bit-identity guarantee —
-     *            mismatches are fatal.
-     * @param cfg Engine tunables. cfg.threads sizes this engine's
-     *            scatter pool (0 = shards run inline, sequentially);
-     *            per-shard engines always run single-threaded with
-     *            scheduleGroups = 1. cfg.schedule picks how shards
-     *            are handed to pool workers (wall-clock only).
+     * @param skb Shard partition; its parent KB must outlive the
+     *            engine. The partition's chunk size must match
+     *            cfg.chunkSize (after clamping to the KB size) —
+     *            mismatches are fatal, since shard boundaries would
+     *            not be chunk-group boundaries.
+     * @param cfg Engine tunables. cfg.threads sizes the pool that
+     *            streams the shards (0 = inline, in shard order);
+     *            cfg.schedule picks how shards are handed to workers
+     *            (wall-clock only). cfg.scheduleGroups is replaced by
+     *            the shard count.
      */
     ShardedEngine(const ShardedKnowledgeBase &skb,
                   const EngineConfig &cfg);
 
-    void inferBatch(const float *u, size_t nq, float *o) override;
-
     const char *name() const override;
 
-    /** Effective shard count (== skb.shardCount()). */
-    size_t shardCount() const { return engines.size(); }
-
-    /** The per-shard engine (for per-shard counter attribution). */
-    const ColumnEngine &shardEngine(size_t s) const;
-
-    /** The shard partition this engine scatters over. */
-    const ShardedKnowledgeBase &sharding() const { return skb; }
-
   private:
-    /** Merge shard partials in shard order and divide; see header. */
-    void gather(size_t nq, float *o);
-
-    const ShardedKnowledgeBase &skb;
-    EngineConfig cfg;
-    runtime::ThreadPool pool;
-    std::vector<std::unique_ptr<ColumnEngine>> engines;
-    std::vector<StreamPartial> parts; ///< slot s = shard s (reused)
-    std::vector<const StreamPartial *> partPtrs; ///< parts, for merge
     std::string displayName;
 };
 

@@ -2,8 +2,9 @@
  * @file
  * Cluster front end: scatters question batches to one ShardNode per
  * shard over a Transport, gathers the StreamPartials, and merges them
- * with core::mergeStreamPartials — the same canonical-shard-order
- * online-softmax merge ShardedEngine runs in process (DESIGN.md §12).
+ * with core::mergeStreamPartials — the online-softmax merge
+ * ColumnEngine applies to its chunk groups, which is the in-process
+ * ShardedEngine's gather (DESIGN.md §12).
  *
  * Bit-identity. Over a lossless transport with every shard answering,
  * the gather is bit-identical to ShardedEngine::inferBatch over the
@@ -100,7 +101,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/sharded_engine.hh"
+#include "core/column_engine.hh"
 #include "net/transport.hh"
 #include "serve/batch_backend.hh"
 #include "serve/latency_recorder.hh"

@@ -9,7 +9,7 @@ namespace mnnfast::net {
 namespace {
 
 /** Node engines always run single-group: the partial must be the
- *  shard's exact accumulator state (see sharded_engine.hh, leg 2). */
+ *  shard's exact accumulator state (see sharded_engine.hh). */
 core::EngineConfig
 nodeConfig(core::EngineConfig cfg)
 {

@@ -3,11 +3,11 @@
  * One cluster node: owns a single shard's ColumnEngine and serves
  * ScatterRequest frames over a transport Listener (DESIGN.md §12).
  *
- * The node is the server half of the PR-5 scatter/gather pipeline
+ * The node is the server half of the in-process scatter/gather pipeline
  * taken across a process boundary. Its engine runs with
- * scheduleGroups = 1 — exactly like ShardedEngine's per-shard engines
- * — so the StreamPartial it returns is the shard's single-group
- * accumulator bit-for-bit, and a lossless ClusterFrontEnd gather
+ * scheduleGroups = 1, so the StreamPartial it returns is the shard's
+ * single-group accumulator bit-for-bit — chunk group s of the
+ * in-process ShardedEngine — and a lossless ClusterFrontEnd gather
  * reproduces the in-process ShardedEngine result exactly.
  *
  * Serving model: serve() accepts connections until stopped and hands

@@ -15,7 +15,8 @@
  *
  *  - LiveServer's private in-process backend: `workers` lanes over
  *    one full-KB ColumnEngine each (replicated mode), or one lane
- *    over a ShardedEngine (sharded mode);
+ *    over a ColumnEngine with one chunk group per shard (sharded
+ *    mode);
  *  - net::ClusterFrontEnd: pipelineDepth lanes sharing one in-flight
  *    window, so W lanes keep W batches scattered at once and the
  *    scatter of batch k+1 overlaps the gather of batch k. Its

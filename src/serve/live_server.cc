@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "core/column_engine.hh"
-#include "core/sharded_engine.hh"
-#include "core/sharded_knowledge_base.hh"
 #include "util/logging.hh"
 
 namespace mnnfast::serve {
@@ -21,8 +19,9 @@ secondsBetween(std::chrono::steady_clock::time_point a,
 
 /**
  * The in-process backend: one lane per replicated ColumnEngine, or
- * one lane over a ShardedEngine whose pool scatters each batch across
- * `workers` threads (see the file header of live_server.hh).
+ * one lane over a ColumnEngine with one chunk group per shard, whose
+ * `workers`-thread pool scatters each batch across the shards (see
+ * the file header of live_server.hh).
  */
 class LocalBackend final : public BatchBackend
 {
@@ -34,21 +33,19 @@ class LocalBackend final : public BatchBackend
             fatal("live server needs a nonzero worker count");
         if (kb.size() == 0)
             fatal("live server needs a non-empty knowledge base");
+        core::EngineConfig ecfg = cfg.engine;
+        size_t lanes = cfg.workers;
         if (cfg.shards >= 2) {
-            // The lane blocks inside the scatter, so the active
+            // One lane; it blocks inside the scatter, so the active
             // thread count matches the replicated mode's.
-            sharding = std::make_unique<core::ShardedKnowledgeBase>(
-                kb, cfg.engine.chunkSize, cfg.shards);
-            core::EngineConfig ecfg = cfg.engine;
             ecfg.threads = cfg.workers;
-            engines.push_back(
-                std::make_unique<core::ShardedEngine>(*sharding, ecfg));
-        } else {
-            engines.reserve(cfg.workers);
-            for (size_t i = 0; i < cfg.workers; ++i)
-                engines.push_back(
-                    std::make_unique<core::ColumnEngine>(kb, cfg.engine));
+            ecfg.scheduleGroups = cfg.shards;
+            lanes = 1;
         }
+        engines.reserve(lanes);
+        for (size_t i = 0; i < lanes; ++i)
+            engines.push_back(
+                std::make_unique<core::ColumnEngine>(kb, ecfg));
     }
 
     size_t lanes() const override { return engines.size(); }
@@ -65,10 +62,7 @@ class LocalBackend final : public BatchBackend
     void countersInto(LatencyRecorder & /*acc*/) const override {}
 
   private:
-    /** The shard partition (sharded mode only; the engine points at
-     *  it). */
-    std::unique_ptr<core::ShardedKnowledgeBase> sharding;
-    std::vector<std::unique_ptr<core::InferenceEngine>> engines;
+    std::vector<std::unique_ptr<core::ColumnEngine>> engines;
 };
 
 } // namespace

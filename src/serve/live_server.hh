@@ -40,14 +40,15 @@
  *    (read-only) KB, so concurrent batches proceed independently —
  *    but N lanes stream the KB N times, paying redundant bandwidth
  *    (the paper's §6 scalability critique).
- *  - Sharded (shards >= 2): the KB is partitioned once into
- *    chunk-aligned shards (core::ShardedKnowledgeBase) and one lane
- *    scatters each batch across a core::ShardedEngine whose
- *    `workers`-thread pool streams one shard per worker, then gathers
- *    the online-softmax partials in canonical shard order. One batch
- *    at a time, each KB byte streamed once per batch — and the
- *    answers are bit-identical to the replicated mode's (see
- *    sharded_engine.hh).
+ *  - Sharded (shards >= 2): one lane drives one ColumnEngine over the
+ *    whole KB with scheduleGroups = shards and a `workers`-thread
+ *    pool: each chunk group is a chunk-aligned shard, the pool
+ *    streams one shard per worker, and the engine's group merge
+ *    gathers the online-softmax partials in canonical shard order —
+ *    the in-process scatter/gather a core::ShardedEngine names. One
+ *    batch at a time, each KB byte streamed once per batch — and the
+ *    answers are bit-identical to a replicated lane configured with
+ *    engine.scheduleGroups = shards (see sharded_engine.hh).
  *  - Cluster (the BatchBackend constructor): the backend is supplied
  *    by the caller — canonically a net::ClusterFrontEnd over shard
  *    node processes, whose lanes are its in-flight window W, so W
@@ -141,12 +142,13 @@ struct LiveServerConfig
     double batchTimeout = 2.0e-3;
     /** Engine workers. Replicated mode: independent lanes, each
      *  owning a private full-KB ColumnEngine. Sharded mode: the
-     *  scatter width of the single lane's ShardedEngine. */
+     *  thread count of the single lane's grouped ColumnEngine. */
     size_t workers = 1;
     /** Knowledge-base shards for scatter/gather dispatch. 0 or 1
-     *  keeps the replicated mode; >= 2 partitions the KB (boundaries
-     *  aligned to engine.chunkSize) and scatters every batch across
-     *  the worker pool, one shard per worker. See the file header. */
+     *  keeps the replicated mode; >= 2 splits the KB into that many
+     *  chunk groups (boundaries aligned to engine.chunkSize) and
+     *  scatters every batch across the worker pool, one shard per
+     *  worker. See the file header. */
     size_t shards = 0;
     /** Bounded-queue capacity; submissions beyond it are rejected. */
     size_t queueCapacity = 1024;
@@ -155,9 +157,10 @@ struct LiveServerConfig
      *  sharded mode, from the scatter pool; nested pools would
      *  oversubscribe the cores). Coarse routing flows through here
      *  too: set engine.routePolicy / routeTopK / routeBoundThreshold
-     *  and every lane routes — replicated lanes select globally,
-     *  sharded scatter selects per shard, with bit-identical
-     *  answers between the modes (see sharded_engine.hh). */
+     *  and every lane routes — replicated lanes select per chunk
+     *  group of their engine (globally by default), sharded scatter
+     *  selects per shard, i.e. per group of its grouped engine (see
+     *  sharded_engine.hh). */
     core::EngineConfig engine;
     /** Latency histogram range; samples above land in overflow (and
      *  clamp quantiles to the range — the exact max is still kept). */

@@ -12,11 +12,11 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "blas/kernels.hh"
@@ -559,44 +559,49 @@ TEST(ColumnEngine, ObserverSeesEveryChunkOnce)
 
 TEST(ColumnEngine, DynamicSchedulingBalancesStalledWorkers)
 {
-    // Engine-level load-balance check under zero-skipping. The
-    // observer sleeps per chunk, making chunk cost blocking-bound:
-    // that is what lets a single-core host rotate workers (a
-    // compute-bound body would let one worker drain the cursor within
-    // its scheduler quantum, saying nothing about the scheduler).
+    // Engine-level load-balance check under zero-skipping. The worker
+    // that observes the first chunk stalls there until every other
+    // chunk has been observed (bounded wait). Dynamic scheduling hands
+    // the stalled worker's share to the others, so it ends with
+    // exactly its one chunk; a static partition would leave its other
+    // 15 groups waiting for it, and the wait would time out.
     constexpr size_t kWorkers = 4;
+    constexpr size_t kChunks = 64;
     const size_t ns = 6400, ed = 8, nq = 1; // 64 chunks of 100
     const KnowledgeBase kb = randomKb(ns, ed, 67);
     const auto u = randomBatch(nq, ed, 68);
     std::vector<float> o(nq * ed);
 
-    for (int attempt = 0; attempt < 4; ++attempt) {
-        EngineConfig cfg;
-        cfg.chunkSize = 100;
-        cfg.threads = kWorkers;
-        cfg.scheduleGroups = 64; // one chunk per group: max slack
-        cfg.skipThreshold = 0.1f;
-        cfg.schedule = Schedule::Dynamic;
-        std::vector<std::atomic<size_t>> per_worker(kWorkers);
-        for (auto &c : per_worker)
-            c.store(0);
-        cfg.chunkObserver = [&](size_t worker, size_t) {
-            per_worker[worker].fetch_add(1);
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
-        };
-        ColumnEngine(kb, cfg).inferBatch(u.data(), nq, o.data());
-
-        size_t min_c = ns, max_c = 0, total = 0;
-        for (const auto &c : per_worker) {
-            min_c = std::min(min_c, c.load());
-            max_c = std::max(max_c, c.load());
-            total += c.load();
+    EngineConfig cfg;
+    cfg.chunkSize = 100;
+    cfg.threads = kWorkers;
+    cfg.scheduleGroups = kChunks; // one chunk per group: max slack
+    cfg.skipThreshold = 0.1f;
+    cfg.schedule = Schedule::Dynamic;
+    std::mutex mu;
+    std::condition_variable all_observed;
+    size_t observed = 0;
+    size_t stalled = kWorkers; // none yet
+    std::vector<size_t> per_worker(kWorkers, 0);
+    cfg.chunkObserver = [&](size_t worker, size_t) {
+        std::unique_lock<std::mutex> lock(mu);
+        ASSERT_LT(worker, kWorkers);
+        ++per_worker[worker];
+        ++observed;
+        if (stalled == kWorkers) {
+            stalled = worker;
+            all_observed.wait_for(lock, std::chrono::seconds(5),
+                                  [&] { return observed == kChunks; });
+        } else if (observed == kChunks) {
+            all_observed.notify_all();
         }
-        ASSERT_EQ(total, 64u);
-        if (min_c > 0 && max_c <= min_c + (min_c + 3) / 4)
-            return; // max within 25% of min: balanced
-    }
-    FAIL() << "dynamic chunk scheduling never balanced the workers";
+    };
+    ColumnEngine(kb, cfg).inferBatch(u.data(), nq, o.data());
+
+    ASSERT_EQ(observed, kChunks);
+    ASSERT_LT(stalled, kWorkers);
+    EXPECT_EQ(per_worker[stalled], 1u)
+        << "the stalled worker's groups were not taken over";
 }
 
 TEST(ColumnEngine, BatchSizeSweepMatchesBaseline)

@@ -21,6 +21,7 @@
 #include "core/sharded_engine.hh"
 #include "core/sharded_knowledge_base.hh"
 #include "serve/live_server.hh"
+#include "shard_composition.hh"
 #include "sim/traffic.hh"
 #include "train/model.hh"
 #include "train/trainer.hh"
@@ -372,8 +373,9 @@ TEST(RoutedEngine, BoundThresholdOneKeepsOnlyTopChunks)
 TEST(RoutedSharding, ShardedRoutedMatchesGroupedSingleEngineBitwise)
 {
     // A routed ShardedEngine over S shards must answer bit-identically
-    // to a routed single engine with scheduleGroups = S: selection is
-    // per chunk group, and shard s IS group s (sharded_engine.hh).
+    // to a routed single engine with scheduleGroups = S, and so must
+    // the per-shard composition the cluster runs: selection is per
+    // chunk group, and shard s IS group s (sharded_engine.hh).
     const size_t ns = 768, ed = 20, nq = 4, chunk = 64;
     const std::vector<float> u = randomBatch(nq, ed, 51);
     std::vector<float> ref(nq * ed), out(nq * ed);
@@ -400,6 +402,10 @@ TEST(RoutedSharding, ShardedRoutedMatchesGroupedSingleEngineBitwise)
             sharded.inferBatch(u.data(), nq, out.data());
             EXPECT_TRUE(bitIdentical(ref, out))
                 << precisionName(prec) << " shards " << shards;
+            EXPECT_TRUE(bitIdentical(
+                ref, composeShards(skb, cfg, u.data(), nq)))
+                << "composed: " << precisionName(prec) << " shards "
+                << shards;
         }
     }
 }

@@ -13,6 +13,8 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "core/column_engine.hh"
@@ -20,6 +22,7 @@
 #include "core/sharded_engine.hh"
 #include "core/sharded_knowledge_base.hh"
 #include "serve/live_server.hh"
+#include "shard_composition.hh"
 #include "util/rng.hh"
 
 namespace mnnfast {
@@ -146,11 +149,19 @@ TEST(ShardedEngine, BitIdenticalToSingleEngineAcrossConfigs)
                 std::vector<float> o_ref(nq * ed, -2.f);
                 sharded.inferBatch(u.data(), nq, o_sharded.data());
                 reference.inferBatch(u.data(), nq, o_ref.data());
-                for (size_t i = 0; i < o_ref.size(); ++i)
+                const std::vector<float> o_composed =
+                    core::composeShards(skb, cfg, u.data(), nq);
+                for (size_t i = 0; i < o_ref.size(); ++i) {
                     ASSERT_EQ(o_sharded[i], o_ref[i])
                         << "prec=" << core::precisionName(prec)
                         << " zskip=" << zskip << " shards=" << shards
                         << " elem=" << i;
+                    ASSERT_EQ(o_composed[i], o_ref[i])
+                        << "composed: prec="
+                        << core::precisionName(prec)
+                        << " zskip=" << zskip << " shards=" << shards
+                        << " elem=" << i;
+                }
             }
         }
     }
@@ -178,8 +189,13 @@ TEST(ShardedEngine, OnlineNormalizeMergeIsAlsoBitIdentical)
         std::vector<float> o_sharded(nq * ed), o_ref(nq * ed);
         sharded.inferBatch(u.data(), nq, o_sharded.data());
         reference.inferBatch(u.data(), nq, o_ref.data());
-        for (size_t i = 0; i < o_ref.size(); ++i)
+        const std::vector<float> o_composed =
+            core::composeShards(skb, cfg, u.data(), nq);
+        for (size_t i = 0; i < o_ref.size(); ++i) {
             ASSERT_EQ(o_sharded[i], o_ref[i]) << "shards=" << shards;
+            ASSERT_EQ(o_composed[i], o_ref[i])
+                << "composed: shards=" << shards;
+        }
     }
 }
 
@@ -240,15 +256,23 @@ TEST(ShardedEngine, AggregatesCountersAcrossShards)
     std::vector<float> o(nq * ed);
     sharded.inferBatch(u.data(), nq, o.data());
     reference.inferBatch(u.data(), nq, o.data());
+    std::map<std::string, uint64_t> composed;
+    core::composeShards(skb, cfg, u.data(), nq, &composed);
+    // The gather's deferred division, which the shard engines leave
+    // to mergeStreamPartials.
+    composed["div_ops"] += nq * ed;
 
     // Whole-KB totals match a single engine: same chunks swept, same
     // zero-skip decisions (bit-identity), same deferred divisions.
     for (const char *name : {"chunks_processed", "rows_kept",
                              "rows_skipped", "flops_inner",
-                             "flops_wsum", "div_ops"})
+                             "flops_wsum", "div_ops"}) {
         EXPECT_EQ(sharded.counters().value(name),
                   reference.counters().value(name))
             << name;
+        EXPECT_EQ(composed[name], reference.counters().value(name))
+            << "composed: " << name;
+    }
     // Every weighted-sum row was either kept or skipped.
     EXPECT_EQ(sharded.counters().value("rows_kept")
                   + sharded.counters().value("rows_skipped"),
