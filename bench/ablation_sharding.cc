@@ -47,6 +47,7 @@
 #include "core/sharded_engine.hh"
 #include "core/sharded_knowledge_base.hh"
 #include "serve/live_server.hh"
+#include "shard_composition.hh"
 #include "stats/table.hh"
 #include "util/rng.hh"
 #include "util/timer.hh"
@@ -278,20 +279,8 @@ main(int argc, char **argv)
             std::vector<float> o_sharded(max_batch * ed);
             eng.inferBatch(uflat.data(), max_batch, o_sharded.data());
 
-            core::EngineConfig ncfg = ecfg;
-            ncfg.scheduleGroups = 1;
-            std::vector<core::StreamPartial> parts(skb.shardCount());
-            std::vector<const core::StreamPartial *> ptrs;
-            for (size_t s = 0; s < skb.shardCount(); ++s) {
-                core::ColumnEngine node(skb.shard(s), ncfg);
-                node.inferPartial(uflat.data(), max_batch, parts[s]);
-                ptrs.push_back(&parts[s]);
-            }
-            std::vector<float> o_composed(max_batch * ed);
-            core::mergeStreamPartials(ptrs.data(), ptrs.size(),
-                                      max_batch, ed,
-                                      ecfg.onlineNormalize,
-                                      o_composed.data());
+            const std::vector<float> o_composed = core::composeShards(
+                skb, ecfg, uflat.data(), max_batch);
             for (size_t i = 0; i < o_composed.size(); ++i)
                 m.maxAbsDiff = std::max(
                     m.maxAbsDiff,

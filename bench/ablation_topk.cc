@@ -11,10 +11,11 @@
  *     BIT-IDENTICAL to the unrouted engine (asserted; nonzero exit on
  *     violation) — that is the guarantee that makes routing a pure
  *     perf knob at the exact operating point.
- *  2. Sharded composition — a routed ShardedEngine (shards >= 2) must
- *     answer bit-identically to a routed single engine with
- *     scheduleGroups = shards (asserted), the property that lets
- *     scatter/gather serving route per shard.
+ *  2. Sharded composition — a routed engine with scheduleGroups =
+ *     shards (shards >= 2) must answer bit-identically to the
+ *     per-shard composition the cluster runs (one engine per shard
+ *     view, inferPartial, mergeStreamPartials; asserted), the property
+ *     that lets scatter/gather serving route per shard.
  *  3. Accuracy (skipped under --smoke) — trained bAbI models swept
  *     over k with forwardTopK, charting relative accuracy loss
  *     against the streamed-row fraction: the routed analogue of the
@@ -34,8 +35,8 @@
 
 #include "bench_common.hh"
 #include "core/column_engine.hh"
-#include "core/sharded_engine.hh"
 #include "core/sharded_knowledge_base.hh"
+#include "shard_composition.hh"
 #include "stats/table.hh"
 #include "util/rng.hh"
 
@@ -186,8 +187,9 @@ main(int argc, char **argv)
     table.print();
 
     // ---- Leg 2: routed sharded composition ---------------------------
-    // A routed ShardedEngine must reproduce the routed single engine
-    // with scheduleGroups = shards bit-for-bit (sharded_engine.hh).
+    // The routed grouped engine (scheduleGroups = shards) must
+    // reproduce the routed per-shard composition bit-for-bit
+    // (sharded_engine.hh).
     {
         const size_t shards = 4;
         const size_t k = std::max<size_t>(2, n_chunks / shards / 4);
@@ -200,16 +202,14 @@ main(int argc, char **argv)
         cfg.routePolicy = core::RoutePolicy::TopK;
         cfg.routeTopK = k;
 
-        core::EngineConfig single = cfg;
-        single.scheduleGroups = shards;
-        core::ColumnEngine mono(kb, single);
-        mono.inferBatch(u.data(), nq, ref.data());
+        core::EngineConfig grouped = cfg;
+        grouped.threads = 2;
+        grouped.scheduleGroups = shards;
+        core::ColumnEngine(kb, grouped).inferBatch(u.data(), nq,
+                                                   ref.data());
 
-        core::ShardedKnowledgeBase skb(kb, chunk, shards);
-        core::EngineConfig scatter = cfg;
-        scatter.threads = 2;
-        core::ShardedEngine shard_engine(skb, scatter);
-        shard_engine.inferBatch(u.data(), nq, out.data());
+        const core::ShardedKnowledgeBase skb(kb, chunk, shards);
+        out = core::composeShards(skb, cfg, u.data(), nq);
 
         const bool same = bitIdentical(ref, out);
         std::printf("\nrouted sharding: %zu shards, k=%zu per shard -> "

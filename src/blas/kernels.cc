@@ -178,14 +178,6 @@ gemv(const float *a, size_t rows, size_t cols, const float *x, float *y)
 }
 
 void
-gemvT(const float *a, size_t rows, size_t cols, const float *x, float *y)
-{
-    zero(y, cols);
-    for (size_t r = 0; r < rows; ++r)
-        active().axpy(x[r], a + r * cols, y, cols);
-}
-
-void
 expInplace(float *x, size_t n)
 {
     active().expInplace(x, n);

@@ -282,15 +282,6 @@ void chunkBoundBatch(const float *x, size_t nx, size_t xstride,
 void gemv(const float *a, size_t rows, size_t cols,
           const float *x, float *y);
 
-/**
- * Transposed matrix-vector product: y = A^T * x.
- * A is (rows x cols) row-major; x has rows elements; y has cols.
- * Implemented as accumulating row-scaled adds so A is still walked
- * sequentially (cache friendly for row-major storage).
- */
-void gemvT(const float *a, size_t rows, size_t cols,
-           const float *x, float *y);
-
 /** Elementwise e^x over a length-n vector, in place. */
 void expInplace(float *x, size_t n);
 
@@ -324,7 +315,7 @@ const char *kernelBackendName();
  * kernels above dispatch to either these or the SIMD backend. Exposed
  * so property tests can compare the two paths directly and so callers
  * can pin the reference path independently of the dispatch decision.
- * zero/copy/gemv/gemvT/softmax have no SIMD-specific variant (they are
+ * zero/copy/gemv/softmax have no SIMD-specific variant (they are
  * memset/memcpy or compositions of dispatched primitives) and so have
  * no entry here.
  */

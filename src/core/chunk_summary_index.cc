@@ -1,25 +1,12 @@
 #include "core/chunk_summary_index.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 
+#include "util/bf16.hh"
 #include "util/logging.hh"
 
 namespace mnnfast::core {
-
-namespace {
-
-float
-bf16ToFloat(uint16_t b)
-{
-    const uint32_t u = uint32_t(b) << 16;
-    float f;
-    std::memcpy(&f, &u, sizeof(f));
-    return f;
-}
-
-} // namespace
 
 ChunkSummaryIndex::ChunkSummaryIndex(const KnowledgeBase &kb,
                                      size_t chunk_rows)
@@ -35,18 +22,16 @@ ChunkSummaryIndex::ChunkSummaryIndex(const KnowledgeBase &kb,
     nChunks = (nRows + chunk - 1) / chunk;
     loV.resize(nChunks * ed);
     hiV.resize(nChunks * ed);
-    centroidV.resize(nChunks * ed);
+    std::vector<int8_t> qlo, qhi; // I8 per-group extremes
 
     for (size_t c = 0; c < nChunks; ++c) {
         const size_t c0 = c * chunk;
         const size_t c1 = std::min(c0 + chunk, nRows);
         float *lo = loV.data() + c * ed;
         float *hi = hiV.data() + c * ed;
-        float *mean = centroidV.data() + c * ed;
         std::fill(lo, lo + ed, std::numeric_limits<float>::infinity());
         std::fill(hi, hi + ed,
                   -std::numeric_limits<float>::infinity());
-        std::fill(mean, mean + ed, 0.f);
 
         switch (kb.precision()) {
         case Precision::F32:
@@ -55,7 +40,6 @@ ChunkSummaryIndex::ChunkSummaryIndex(const KnowledgeBase &kb,
                 for (size_t d = 0; d < ed; ++d) {
                     lo[d] = std::min(lo[d], row[d]);
                     hi[d] = std::max(hi[d], row[d]);
-                    mean[d] += row[d];
                 }
             }
             break;
@@ -66,47 +50,37 @@ ChunkSummaryIndex::ChunkSummaryIndex(const KnowledgeBase &kb,
                     const float v = bf16ToFloat(row[d]);
                     lo[d] = std::min(lo[d], v);
                     hi[d] = std::max(hi[d], v);
-                    mean[d] += v;
                 }
             }
             break;
         case Precision::I8:
-            // Per quantization group: int8 extremes and sums first,
-            // then one affine map per dimension. scale >= 0 by
-            // construction ((hi-lo)/255), so the int8 order is the
-            // dequantized order and the extremes commute with the
-            // map.
+            // Per quantization group: int8 extremes first, then one
+            // affine map per dimension. scale >= 0 by construction
+            // ((hi-lo)/255), so the int8 order is the dequantized
+            // order and the extremes commute with the map.
             for (size_t g0 = c0; g0 < c1;) {
                 const size_t g1 = std::min(kb.i8GroupEnd(g0), c1);
                 const float scale = kb.minScale(g0);
                 const float zero = kb.minZero(g0);
-                std::vector<int8_t> qlo(ed, int8_t(127));
-                std::vector<int8_t> qhi(ed, int8_t(-128));
-                std::vector<int32_t> qsum(ed, 0);
+                qlo.assign(ed, int8_t(127));
+                qhi.assign(ed, int8_t(-128));
                 for (size_t r = g0; r < g1; ++r) {
                     const int8_t *row = kb.minRow8(r);
                     for (size_t d = 0; d < ed; ++d) {
                         qlo[d] = std::min(qlo[d], row[d]);
                         qhi[d] = std::max(qhi[d], row[d]);
-                        qsum[d] += row[d];
                     }
                 }
-                const float gn = float(g1 - g0);
                 for (size_t d = 0; d < ed; ++d) {
                     lo[d] = std::min(lo[d],
                                      scale * float(qlo[d]) + zero);
                     hi[d] = std::max(hi[d],
                                      scale * float(qhi[d]) + zero);
-                    mean[d] += scale * float(qsum[d]) + zero * gn;
                 }
                 g0 = g1;
             }
             break;
         }
-
-        const float inv = 1.0f / float(c1 - c0);
-        for (size_t d = 0; d < ed; ++d)
-            mean[d] *= inv;
     }
 }
 

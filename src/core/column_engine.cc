@@ -211,9 +211,9 @@ ColumnEngine::name() const
 const std::vector<runtime::Range> &
 ColumnEngine::chunkGroups(size_t n_chunks)
 {
-    // A pure function of the chunk count and configuration, shared by
-    // both scheduling policies, so the schedule can never change the
-    // merged result (see header). Cached: the KB size is fixed for
+    // A pure function of the chunk count and configuration, so which
+    // worker runs a group can never change the merged result (see
+    // header). Cached: the KB size is fixed for
     // the engine's lifetime in the serving loop, so this recomputes
     // only if the KB grows between calls.
     if (groupCache.empty() || groupCacheChunks != n_chunks) {
@@ -515,7 +515,6 @@ ColumnEngine::runGroups(const float *u, size_t nq)
     const size_t ed = kb.dim();
     mnn_assert(ns > 0, "inference over an empty knowledge base");
 
-    const size_t workers = std::max<size_t>(1, pool.threadCount());
     const size_t n_chunks = (ns + cfg.chunkSize - 1) / cfg.chunkSize;
     const auto &groups = chunkGroups(n_chunks);
     // One tuner lookup per pass, outside the worker loops (the table
@@ -572,21 +571,11 @@ ColumnEngine::runGroups(const float *u, size_t nq)
                       cr.end - cr.begin);
     };
 
-    if (cfg.schedule == Schedule::Dynamic) {
-        runtime::parallelForDynamic(
-            pool, groups.size(), 1,
-            [&](size_t worker, runtime::Range r) {
-                for (size_t g = r.begin; g < r.end; ++g)
-                    runGroup(worker, g);
-            });
-    } else {
-        runtime::parallelForParts(
-            pool, groups.size(), workers,
-            [&](size_t part, runtime::Range r) {
-                for (size_t g = r.begin; g < r.end; ++g)
-                    runGroup(part, g);
-            });
-    }
+    runtime::parallelForDynamic(
+        pool, groups.size(), 1, [&](size_t worker, runtime::Range r) {
+            for (size_t g = r.begin; g < r.end; ++g)
+                runGroup(worker, g);
+        });
 }
 
 void

@@ -39,9 +39,8 @@
  * contiguous chunk *groups* (cfg.scheduleGroups; default 4x workers).
  * Each group accumulates into its own partial slot and the slots are
  * merged in group order, so results are bit-identical whichever worker
- * ran a group and whenever it ran — the Static/Dynamic scheduling
- * policy (cfg.schedule) affects wall-clock only. Dynamic scheduling
- * pulls groups off a shared cursor, which keeps all workers busy when
+ * ran a group and whenever it ran. Workers pull groups off a shared
+ * cursor (dynamic scheduling), which keeps all workers busy when
  * zero-skipping makes per-chunk cost data-dependent.
  *
  * Options on top of the plain column dataflow:

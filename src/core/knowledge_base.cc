@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "blas/kernels.hh"
 #include "util/bf16.hh"
@@ -56,10 +57,8 @@ KnowledgeBase::clear()
     if (viewed)
         fatal("clear() on a knowledge-base view");
     count = 0;
-    minScaleV.clear();
-    minZeroV.clear();
-    moutScaleV.clear();
-    moutZeroV.clear();
+    for (Matrix *m : {&in, &out})
+        m->codes.clear();
 }
 
 KnowledgeBase
@@ -71,24 +70,11 @@ KnowledgeBase::view(size_t row_begin, size_t row_end) const
     KnowledgeBase v(ed, prec, qchunk);
     v.viewed = true;
     v.count = row_end - row_begin;
-    switch (prec) {
-      case Precision::F32:
-        v.vmin = minData() + row_begin * ed;
-        v.vmout = moutData() + row_begin * ed;
-        break;
-      case Precision::BF16:
-        v.vmin16 = minData16() + row_begin * ed;
-        v.vmout16 = moutData16() + row_begin * ed;
-        break;
-      case Precision::I8:
-        v.vmin8 = minData8() + row_begin * ed;
-        v.vmout8 = moutData8() + row_begin * ed;
-        v.vminScale = minScalesPtr();
-        v.vminZero = minZerosPtr();
-        v.vmoutScale = moutScalesPtr();
-        v.vmoutZero = moutZerosPtr();
-        v.vrowOff = vrowOff + row_begin;
-        break;
+    v.vrowOff = vrowOff + row_begin;
+    for (auto [dst, src] :
+         {std::pair{&v.in, &in}, std::pair{&v.out, &out}}) {
+        dst->rows = src->rows + row_begin * ed * elemBytes();
+        dst->vcodes = codesOf(*src);
     }
     return v;
 }
@@ -98,44 +84,13 @@ KnowledgeBase::grow(size_t min_capacity)
 {
     const size_t new_cap = std::max(min_capacity,
                                     std::max<size_t>(16, capacity * 2));
-    switch (prec) {
-      case Precision::F32: {
-        AlignedBuffer<float> new_min(new_cap * ed);
-        AlignedBuffer<float> new_mout(new_cap * ed);
-        if (count > 0) {
-            std::memcpy(new_min.data(), min.data(),
-                        count * ed * sizeof(float));
-            std::memcpy(new_mout.data(), mout.data(),
-                        count * ed * sizeof(float));
-        }
-        min = std::move(new_min);
-        mout = std::move(new_mout);
-        break;
-      }
-      case Precision::BF16: {
-        AlignedBuffer<uint16_t> new_min(new_cap * ed);
-        AlignedBuffer<uint16_t> new_mout(new_cap * ed);
-        if (count > 0) {
-            std::memcpy(new_min.data(), min16.data(),
-                        count * ed * sizeof(uint16_t));
-            std::memcpy(new_mout.data(), mout16.data(),
-                        count * ed * sizeof(uint16_t));
-        }
-        min16 = std::move(new_min);
-        mout16 = std::move(new_mout);
-        break;
-      }
-      case Precision::I8: {
-        AlignedBuffer<int8_t> new_min(new_cap * ed);
-        AlignedBuffer<int8_t> new_mout(new_cap * ed);
-        if (count > 0) {
-            std::memcpy(new_min.data(), min8.data(), count * ed);
-            std::memcpy(new_mout.data(), mout8.data(), count * ed);
-        }
-        min8 = std::move(new_min);
-        mout8 = std::move(new_mout);
-        break;
-      }
+    const size_t row_bytes = ed * elemBytes();
+    for (Matrix *m : {&in, &out}) {
+        AlignedBuffer<uint8_t> bigger(new_cap * row_bytes);
+        if (count > 0)
+            std::memcpy(bigger.data(), m->store.data(), count * row_bytes);
+        m->store = std::move(bigger);
+        m->rows = m->store.data();
     }
     capacity = new_cap;
 }
@@ -147,243 +102,106 @@ KnowledgeBase::addSentence(const float *min_row, const float *mout_row)
         fatal("addSentence() on a knowledge-base view");
     if (count == capacity)
         grow(count + 1);
-    switch (prec) {
-      case Precision::F32:
-        std::memcpy(min.data() + count * ed, min_row,
-                    ed * sizeof(float));
-        std::memcpy(mout.data() + count * ed, mout_row,
-                    ed * sizeof(float));
-        break;
-      case Precision::BF16: {
-        uint16_t *mi = min16.data() + count * ed;
-        uint16_t *mo = mout16.data() + count * ed;
-        for (size_t e = 0; e < ed; ++e) {
-            mi[e] = bf16FromFloat(min_row[e]);
-            mo[e] = bf16FromFloat(mout_row[e]);
-        }
-        break;
-      }
-      case Precision::I8: {
-        if (tailMin.empty()) {
-            tailMin.resize(qchunk * ed);
-            tailMout.resize(qchunk * ed);
-        }
-        const size_t k = count % qchunk; // row within the tail chunk
-        if (k == 0) { // starting a fresh quantization chunk
-            minScaleV.push_back(0.f);
-            minZeroV.push_back(0.f);
-            moutScaleV.push_back(0.f);
-            moutZeroV.push_back(0.f);
-        }
-        const size_t c = count / qchunk;
-        // Ingest one matrix: stage the fp32 row, and either quantize
-        // just this row under the chunk's frozen-so-far code, or —
-        // when the row extends the chunk's element range — recompute
-        // the code and requantize the whole staged tail chunk so the
-        // stored bytes match a from-scratch quantization.
-        auto ingest = [&](const float *row, std::vector<float> &staged,
-                          AlignedBuffer<int8_t> &store,
-                          std::vector<float> &scales,
-                          std::vector<float> &zeros, float &lo,
-                          float &hi) {
-            float *slot = staged.data() + k * ed;
-            std::memcpy(slot, row, ed * sizeof(float));
-            float rlo, rhi;
-            if (!blas::finiteRangeI8(row, ed, rlo, rhi))
-                fatal("I8 knowledge bases require finite embeddings");
-            int8_t *base = store.data() + (count - k) * ed;
-            if (k == 0 || rlo < lo || rhi > hi) {
-                lo = (k == 0) ? rlo : std::min(lo, rlo);
-                hi = (k == 0) ? rhi : std::max(hi, rhi);
-                const float scale =
-                    (hi > lo) ? (hi - lo) / 255.f : 0.f;
-                const float zero = lo + 128.f * scale;
-                scales[c] = scale;
-                zeros[c] = zero;
-                // Staged and stored rows are both contiguous, so the
-                // whole tail chunk requantizes in one kernel call.
-                blas::quantizeI8(staged.data(), (k + 1) * ed, scale,
-                                 zero, base);
-            } else {
-                blas::quantizeI8(slot, ed, scales[c], zeros[c],
-                                 base + k * ed);
-            }
-        };
-        ingest(min_row, tailMin, min8, minScaleV, minZeroV, minLo,
-               minHi);
-        ingest(mout_row, tailMout, mout8, moutScaleV, moutZeroV,
-               moutLo, moutHi);
-        break;
-      }
-    }
+    encode(in, min_row);
+    encode(out, mout_row);
     ++count;
 }
 
-const float *
-KnowledgeBase::minData() const
+void
+KnowledgeBase::encode(Matrix &m, const float *src)
 {
-    mnn_assert(prec == Precision::F32,
-               "minData() on a non-F32 knowledge base");
-    return viewed ? vmin : min.data();
+    uint8_t *dst = m.store.data() + count * ed * elemBytes();
+    switch (prec) {
+      case Precision::F32:
+        std::memcpy(dst, src, ed * sizeof(float));
+        return;
+      case Precision::BF16:
+        for (size_t e = 0; e < ed; ++e)
+            reinterpret_cast<uint16_t *>(dst)[e] = bf16FromFloat(src[e]);
+        return;
+      case Precision::I8:
+        ingestI8(m, src);
+        return;
+    }
 }
 
-const float *
-KnowledgeBase::moutData() const
+void
+KnowledgeBase::ingestI8(Matrix &m, const float *src)
 {
-    mnn_assert(prec == Precision::F32,
-               "moutData() on a non-F32 knowledge base");
-    return viewed ? vmout : mout.data();
+    // Stage the fp32 row, and either quantize just this row under the
+    // chunk's frozen-so-far code, or — when the row extends the
+    // chunk's element range — recompute the code and requantize the
+    // whole staged tail chunk so the stored bytes match a
+    // from-scratch quantization.
+    const size_t k = count % qchunk; // row within the tail chunk
+    if (k == 0) { // starting a fresh quantization chunk
+        m.codes.emplace_back();
+        m.tail.resize(qchunk * ed);
+    }
+    float *slot = m.tail.data() + k * ed;
+    std::memcpy(slot, src, ed * sizeof(float));
+    float rlo = 0.f, rhi = 0.f;
+    if (!blas::finiteRangeI8(src, ed, rlo, rhi))
+        fatal("I8 knowledge bases require finite embeddings");
+    int8_t *base = reinterpret_cast<int8_t *>(m.store.data())
+                   + (count - k) * ed;
+    Code &c = m.codes.back();
+    if (k == 0 || rlo < m.lo || rhi > m.hi) {
+        m.lo = (k == 0) ? rlo : std::min(m.lo, rlo);
+        m.hi = (k == 0) ? rhi : std::max(m.hi, rhi);
+        c.scale = (m.hi > m.lo) ? (m.hi - m.lo) / 255.f : 0.f;
+        c.zero = m.lo + 128.f * c.scale;
+        // Staged and stored rows are both contiguous, so the whole
+        // tail chunk requantizes in one kernel call.
+        blas::quantizeI8(m.tail.data(), (k + 1) * ed, c.scale, c.zero,
+                         base);
+    } else {
+        blas::quantizeI8(slot, ed, c.scale, c.zero, base + k * ed);
+    }
 }
 
-const uint16_t *
-KnowledgeBase::minData16() const
+void
+KnowledgeBase::need(Precision p, const char *what) const
 {
-    mnn_assert(prec == Precision::BF16,
-               "minData16() on a non-BF16 knowledge base");
-    return viewed ? vmin16 : min16.data();
+    static const char *const kNames[] = {"F32", "BF16", "I8"};
+    if (prec != p)
+        panic("%s() on a non-%s knowledge base", what,
+              kNames[static_cast<int>(p)]);
 }
 
-const uint16_t *
-KnowledgeBase::moutData16() const
+size_t
+KnowledgeBase::row(size_t i) const
 {
-    mnn_assert(prec == Precision::BF16,
-               "moutData16() on a non-BF16 knowledge base");
-    return viewed ? vmout16 : mout16.data();
+    if (i >= count)
+        panic("knowledge-base row %zu out of range [0, %zu)", i, count);
+    return i;
 }
 
-const float *
-KnowledgeBase::minRow(size_t i) const
+const KnowledgeBase::Code *
+KnowledgeBase::codesOf(const Matrix &m) const
 {
-    mnn_assert(i < count, "M_IN row out of range");
-    return minData() + i * ed;
+    return viewed ? m.vcodes : m.codes.data();
 }
 
-const float *
-KnowledgeBase::moutRow(size_t i) const
+const KnowledgeBase::Code &
+KnowledgeBase::code(const Matrix &m, size_t i, const char *what) const
 {
-    mnn_assert(i < count, "M_OUT row out of range");
-    return moutData() + i * ed;
-}
-
-const uint16_t *
-KnowledgeBase::minRow16(size_t i) const
-{
-    mnn_assert(i < count, "M_IN row out of range");
-    return minData16() + i * ed;
-}
-
-const uint16_t *
-KnowledgeBase::moutRow16(size_t i) const
-{
-    mnn_assert(i < count, "M_OUT row out of range");
-    return moutData16() + i * ed;
-}
-
-const int8_t *
-KnowledgeBase::minData8() const
-{
-    mnn_assert(prec == Precision::I8,
-               "minData8() on a non-I8 knowledge base");
-    return viewed ? vmin8 : min8.data();
-}
-
-const int8_t *
-KnowledgeBase::moutData8() const
-{
-    mnn_assert(prec == Precision::I8,
-               "moutData8() on a non-I8 knowledge base");
-    return viewed ? vmout8 : mout8.data();
-}
-
-const int8_t *
-KnowledgeBase::minRow8(size_t i) const
-{
-    mnn_assert(i < count, "M_IN row out of range");
-    return minData8() + i * ed;
-}
-
-const int8_t *
-KnowledgeBase::moutRow8(size_t i) const
-{
-    mnn_assert(i < count, "M_OUT row out of range");
-    return moutData8() + i * ed;
+    need(Precision::I8, what);
+    return codesOf(m)[(vrowOff + row(i)) / qchunk];
 }
 
 size_t
 KnowledgeBase::i8ChunkRows() const
 {
-    mnn_assert(prec == Precision::I8,
-               "i8ChunkRows() on a non-I8 knowledge base");
+    need(Precision::I8, "i8ChunkRows");
     return qchunk;
-}
-
-const float *
-KnowledgeBase::minScalesPtr() const
-{
-    mnn_assert(prec == Precision::I8,
-               "minScale() on a non-I8 knowledge base");
-    return viewed ? vminScale : minScaleV.data();
-}
-
-const float *
-KnowledgeBase::minZerosPtr() const
-{
-    mnn_assert(prec == Precision::I8,
-               "minZero() on a non-I8 knowledge base");
-    return viewed ? vminZero : minZeroV.data();
-}
-
-const float *
-KnowledgeBase::moutScalesPtr() const
-{
-    mnn_assert(prec == Precision::I8,
-               "moutScale() on a non-I8 knowledge base");
-    return viewed ? vmoutScale : moutScaleV.data();
-}
-
-const float *
-KnowledgeBase::moutZerosPtr() const
-{
-    mnn_assert(prec == Precision::I8,
-               "moutZero() on a non-I8 knowledge base");
-    return viewed ? vmoutZero : moutZeroV.data();
-}
-
-float
-KnowledgeBase::minScale(size_t i) const
-{
-    mnn_assert(i < count, "M_IN row out of range");
-    return minScalesPtr()[(vrowOff + i) / qchunk];
-}
-
-float
-KnowledgeBase::minZero(size_t i) const
-{
-    mnn_assert(i < count, "M_IN row out of range");
-    return minZerosPtr()[(vrowOff + i) / qchunk];
-}
-
-float
-KnowledgeBase::moutScale(size_t i) const
-{
-    mnn_assert(i < count, "M_OUT row out of range");
-    return moutScalesPtr()[(vrowOff + i) / qchunk];
-}
-
-float
-KnowledgeBase::moutZero(size_t i) const
-{
-    mnn_assert(i < count, "M_OUT row out of range");
-    return moutZerosPtr()[(vrowOff + i) / qchunk];
 }
 
 size_t
 KnowledgeBase::i8GroupEnd(size_t i) const
 {
-    mnn_assert(prec == Precision::I8,
-               "i8GroupEnd() on a non-I8 knowledge base");
-    mnn_assert(i < count, "i8GroupEnd row out of range");
-    const size_t next = ((vrowOff + i) / qchunk + 1) * qchunk;
+    need(Precision::I8, "i8GroupEnd");
+    const size_t next = ((vrowOff + row(i)) / qchunk + 1) * qchunk;
     return std::min(next - vrowOff, count);
 }
 
@@ -394,32 +212,19 @@ KnowledgeBase::groupEnd(size_t i) const
 }
 
 blas::Rows
-KnowledgeBase::minRows(size_t i) const
+KnowledgeBase::rowsOf(const Matrix &m, size_t i) const
 {
-    mnn_assert(i < count, "M_IN row out of range");
+    const void *p = m.rows + row(i) * ed * elemBytes();
     switch (prec) {
       case Precision::F32:
-        return blas::Rows(minData() + i * ed);
+        return blas::Rows(static_cast<const float *>(p));
       case Precision::BF16:
-        return blas::Rows(minData16() + i * ed);
-      case Precision::I8:
-        return blas::Rows(minData8() + i * ed, minScale(i), minZero(i));
-    }
-    panic("unknown Precision %d", static_cast<int>(prec));
-}
-
-blas::Rows
-KnowledgeBase::moutRows(size_t i) const
-{
-    mnn_assert(i < count, "M_OUT row out of range");
-    switch (prec) {
-      case Precision::F32:
-        return blas::Rows(moutData() + i * ed);
-      case Precision::BF16:
-        return blas::Rows(moutData16() + i * ed);
-      case Precision::I8:
-        return blas::Rows(moutData8() + i * ed, moutScale(i),
-                          moutZero(i));
+        return blas::Rows(static_cast<const uint16_t *>(p));
+      case Precision::I8: {
+        const Code &c = code(m, i, "rows");
+        return blas::Rows(static_cast<const int8_t *>(p), c.scale,
+                          c.zero);
+      }
     }
     panic("unknown Precision %d", static_cast<int>(prec));
 }

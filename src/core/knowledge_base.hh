@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "blas/kernels.hh"
@@ -64,18 +65,23 @@ inline constexpr size_t kI8ChunkRowsDefault = 1000;
  * are staged so a range-extending append requantizes the whole tail
  * chunk from the exact inputs — the stored bytes therefore depend
  * only on the row contents and chunk boundaries, exactly as if the
- * full chunk had been quantized at once. The typed accessors are
- * precision-checked: minData()/minRow() are valid only in F32 mode,
- * minData16()/minRow16() only in BF16 mode, minData8()/minRow8()
- * (plus the per-row minScale()/minZero() code lookups) only in I8
- * mode, so a caller can never silently reinterpret one layout as
- * another.
+ * full chunk had been quantized at once.
+ *
+ * M_IN and M_OUT are two instances of one storage type whose codec is
+ * the KB's precision; the engines read both through minRows()/
+ * moutRows(). The typed accessors are precision-checked: the float
+ * ones (minData()/minRow()) are valid only in F32 mode, the uint16_t
+ * ones (moutData16()/minRow16()) only in BF16 mode, the int8_t ones
+ * (minData8()/minRow8()) and the per-row minScale()/minZero() code
+ * lookups only in I8 mode, so a caller can never silently
+ * reinterpret one layout as another.
  *
  * view() produces a non-owning window over a contiguous row range —
  * the storage behind knowledge-base sharding (sharded_knowledge_base
- * .hh). A view aliases the parent's rows (zero copy), reports the
- * window's size()/bytes(), and refuses mutation (addSentence/reserve/
- * clear are fatal); the parent must outlive every view.
+ * .hh). A view aliases the parent's rows and I8 codes (zero copy; an
+ * I8 view may start mid-chunk), reports the window's size()/bytes(),
+ * and refuses mutation (addSentence/reserve/clear are fatal); the
+ * parent must outlive every view and stay un-mutated while it is used.
  */
 class KnowledgeBase
 {
@@ -113,9 +119,6 @@ class KnowledgeBase
      */
     KnowledgeBase view(size_t row_begin, size_t row_end) const;
 
-    /** True for non-owning views produced by view(). */
-    bool isView() const { return viewed; }
-
     /** Number of stored sentences (ns). */
     size_t size() const { return count; }
 
@@ -128,56 +131,64 @@ class KnowledgeBase
     /** Bytes per stored element (4 for F32, 2 for BF16, 1 for I8). */
     size_t elemBytes() const { return precisionBytes(prec); }
 
-    /** Row-major (ns x ed) input memory (F32 mode only). */
-    const float *minData() const;
+    /** Row-major (ns x ed) fp32 M_IN / M_OUT (F32 mode only). */
+    const float *minData() const { return typed<float>(in, "minData"); }
+    const float *moutData() const { return typed<float>(out, "moutData"); }
 
-    /** Row-major (ns x ed) output memory (F32 mode only). */
-    const float *moutData() const;
+    /** Row i of M_IN / M_OUT (F32 mode only). */
+    const float *minRow(size_t i) const
+    {
+        return typed<float>(in, "minRow") + row(i) * ed;
+    }
+    const float *moutRow(size_t i) const
+    {
+        return typed<float>(out, "moutRow") + row(i) * ed;
+    }
 
-    /** Row-major (ns x ed) bf16 input memory (BF16 mode only). */
-    const uint16_t *minData16() const;
+    /** Row-major (ns x ed) bf16 M_OUT (BF16 mode only). */
+    const uint16_t *moutData16() const
+    {
+        return typed<uint16_t>(out, "moutData16");
+    }
 
-    /** Row-major (ns x ed) bf16 output memory (BF16 mode only). */
-    const uint16_t *moutData16() const;
+    /** Row i of M_IN / M_OUT as bf16 (BF16 mode only). */
+    const uint16_t *minRow16(size_t i) const
+    {
+        return typed<uint16_t>(in, "minRow16") + row(i) * ed;
+    }
+    const uint16_t *moutRow16(size_t i) const
+    {
+        return typed<uint16_t>(out, "moutRow16") + row(i) * ed;
+    }
 
-    /** Row i of M_IN (F32 mode only). */
-    const float *minRow(size_t i) const;
+    /** Row-major (ns x ed) int8 M_IN / M_OUT (I8 mode only). */
+    const int8_t *minData8() const { return typed<int8_t>(in, "minData8"); }
+    const int8_t *moutData8() const
+    {
+        return typed<int8_t>(out, "moutData8");
+    }
 
-    /** Row i of M_OUT (F32 mode only). */
-    const float *moutRow(size_t i) const;
-
-    /** Row i of M_IN as bf16 (BF16 mode only). */
-    const uint16_t *minRow16(size_t i) const;
-
-    /** Row i of M_OUT as bf16 (BF16 mode only). */
-    const uint16_t *moutRow16(size_t i) const;
-
-    /** Row-major (ns x ed) int8 input memory (I8 mode only). */
-    const int8_t *minData8() const;
-
-    /** Row-major (ns x ed) int8 output memory (I8 mode only). */
-    const int8_t *moutData8() const;
-
-    /** Row i of M_IN as int8 (I8 mode only). */
-    const int8_t *minRow8(size_t i) const;
-
-    /** Row i of M_OUT as int8 (I8 mode only). */
-    const int8_t *moutRow8(size_t i) const;
+    /** Row i of M_IN / M_OUT as int8 (I8 mode only). */
+    const int8_t *minRow8(size_t i) const
+    {
+        return typed<int8_t>(in, "minRow8") + row(i) * ed;
+    }
+    const int8_t *moutRow8(size_t i) const
+    {
+        return typed<int8_t>(out, "moutRow8") + row(i) * ed;
+    }
 
     /** Rows per int8 quantization chunk (I8 mode only). */
     size_t i8ChunkRows() const;
 
-    /** Dequantization scale of row i's M_IN chunk (I8 mode only). */
-    float minScale(size_t i) const;
-
-    /** Dequantization zero of row i's M_IN chunk (I8 mode only). */
-    float minZero(size_t i) const;
-
-    /** Dequantization scale of row i's M_OUT chunk (I8 mode only). */
-    float moutScale(size_t i) const;
-
-    /** Dequantization zero of row i's M_OUT chunk (I8 mode only). */
-    float moutZero(size_t i) const;
+    /** Dequantization scale / zero of row i's chunk (I8 mode only). */
+    float minScale(size_t i) const { return code(in, i, "minScale").scale; }
+    float minZero(size_t i) const { return code(in, i, "minZero").zero; }
+    float moutScale(size_t i) const
+    {
+        return code(out, i, "moutScale").scale;
+    }
+    float moutZero(size_t i) const { return code(out, i, "moutZero").zero; }
 
     /**
      * First row index after `i` where the (scale, zero) pair may
@@ -197,10 +208,10 @@ class KnowledgeBase
      * rows that share row i's storage code: the whole KB for F32/BF16,
      * up to i8GroupEnd(i) for I8); forEachGroup yields those ranges.
      */
-    blas::Rows minRows(size_t i) const;
+    blas::Rows minRows(size_t i) const { return rowsOf(in, i); }
 
     /** Typed M_OUT row view, as minRows. */
-    blas::Rows moutRows(size_t i) const;
+    blas::Rows moutRows(size_t i) const { return rowsOf(out, i); }
 
     /**
      * Call f(g0, g1) for each storage group [g0, g1) covering rows
@@ -227,6 +238,59 @@ class KnowledgeBase
     size_t bytes() const { return 2 * count * ed * elemBytes(); }
 
   private:
+    /** One I8 quantization chunk's affine code: x ~ scale*q + zero. */
+    struct Code
+    {
+        float scale = 0.f;
+        float zero = 0.f;
+    };
+
+    /**
+     * One stored matrix (M_IN or M_OUT) in the KB's codec.
+     *
+     * Lifetime rule: `rows` is cached — an owner's points at its
+     * buffer's heap block, which survives a move of the KB (grow()
+     * re-points it), and a view's points into its parent's. An owner's
+     * I8 codes are NOT cached: push_back reallocates the vector, so
+     * codes are read from it at access time (codesOf()).
+     */
+    struct Matrix
+    {
+        AlignedBuffer<uint8_t> store;  ///< owner: ed*elemBytes() per row
+        const uint8_t *rows = nullptr; ///< first row (owner or aliased)
+        std::vector<Code> codes;       ///< owner: one per started chunk
+        const Code *vcodes = nullptr;  ///< view: the parent's codes
+        std::vector<float> tail;       ///< owner: fp32 tail-chunk staging
+        float lo = 0.f, hi = 0.f;      ///< tail chunk's element range
+    };
+
+    template <class T>
+    static constexpr Precision kCodecOf =
+        std::is_same_v<T, float>      ? Precision::F32
+        : std::is_same_v<T, uint16_t> ? Precision::BF16
+                                      : Precision::I8;
+
+    /** m's first row as T; fatal unless T is the storage type. */
+    template <class T>
+    const T *
+    typed(const Matrix &m, const char *what) const
+    {
+        need(kCodecOf<T>, what);
+        return reinterpret_cast<const T *>(m.rows);
+    }
+
+    /** Fatal unless this KB stores `p` (`what` names the accessor). */
+    void need(Precision p, const char *what) const;
+
+    /** i, after checking it is a stored row. */
+    size_t row(size_t i) const;
+
+    const Code *codesOf(const Matrix &m) const;
+    const Code &code(const Matrix &m, size_t i, const char *what) const;
+    blas::Rows rowsOf(const Matrix &m, size_t i) const;
+    void encode(Matrix &m, const float *src);
+    void ingestI8(Matrix &m, const float *src);
+
     /**
      * End of row i's storage group: the first row after i whose
      * storage code may differ, clamped to size(). The whole KB is one
@@ -235,48 +299,17 @@ class KnowledgeBase
     size_t groupEnd(size_t i) const;
 
     void grow(size_t min_capacity);
-    const float *minScalesPtr() const;
-    const float *minZerosPtr() const;
-    const float *moutScalesPtr() const;
-    const float *moutZerosPtr() const;
 
     size_t ed;
     Precision prec;
     size_t qchunk; ///< I8 quantization-chunk rows
     size_t count = 0;
     size_t capacity = 0;
-    AlignedBuffer<float> min;      ///< F32 mode storage
-    AlignedBuffer<float> mout;
-    AlignedBuffer<uint16_t> min16; ///< BF16 mode storage
-    AlignedBuffer<uint16_t> mout16;
-    AlignedBuffer<int8_t> min8;    ///< I8 mode storage
-    AlignedBuffer<int8_t> mout8;
+    Matrix in, out; ///< M_IN, M_OUT
 
-    // I8 quantization state (owners only): one scale/zero pair per
-    // started chunk and matrix, the fp32 staging copy of the current
-    // tail chunk (allocated lazily on first append), and the tail
-    // chunk's running element ranges.
-    std::vector<float> minScaleV, minZeroV;
-    std::vector<float> moutScaleV, moutZeroV;
-    std::vector<float> tailMin, tailMout;
-    float minLo = 0.f, minHi = 0.f;
-    float moutLo = 0.f, moutHi = 0.f;
-
-    // View state: when `viewed`, the v* pointers alias a window of
-    // the parent's rows (and, in I8 mode, the parent's scale/zero
-    // arrays, with vrowOff locating the window inside the parent's
-    // quantization chunks) and the buffers above stay empty.
+    // A view aliases a window of its parent's matrices; vrowOff
+    // locates the window inside the parent's I8 quantization chunks.
     bool viewed = false;
-    const float *vmin = nullptr;
-    const float *vmout = nullptr;
-    const uint16_t *vmin16 = nullptr;
-    const uint16_t *vmout16 = nullptr;
-    const int8_t *vmin8 = nullptr;
-    const int8_t *vmout8 = nullptr;
-    const float *vminScale = nullptr;
-    const float *vminZero = nullptr;
-    const float *vmoutScale = nullptr;
-    const float *vmoutZero = nullptr;
     size_t vrowOff = 0;
 };
 

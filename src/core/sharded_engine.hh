@@ -13,7 +13,7 @@
  * scheduleGroups = S. A ShardedEngine is that engine — its pool
  * streams the groups (shards) and its group merge is the gather — so
  * it is bit-identical to a ColumnEngine with scheduleGroups = S by
- * construction (any thread count, either schedule).
+ * construction (any thread count).
  *
  * The cluster (net::ShardNode + net::ClusterFrontEnd) composes the
  * same result from separate engines: one ColumnEngine per shard view
@@ -56,10 +56,8 @@ class ShardedEngine : public ColumnEngine
      *            mismatches are fatal, since shard boundaries would
      *            not be chunk-group boundaries.
      * @param cfg Engine tunables. cfg.threads sizes the pool that
-     *            streams the shards (0 = inline, in shard order);
-     *            cfg.schedule picks how shards are handed to workers
-     *            (wall-clock only). cfg.scheduleGroups is replaced by
-     *            the shard count.
+     *            streams the shards (0 = inline, in shard order).
+     *            cfg.scheduleGroups is replaced by the shard count.
      */
     ShardedEngine(const ShardedKnowledgeBase &skb,
                   const EngineConfig &cfg);

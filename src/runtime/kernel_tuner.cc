@@ -337,6 +337,62 @@ scanNumber(const std::string &s, const char *key, size_t from,
     return true;
 }
 
+/**
+ * Merge the entries of an exportJson()-shaped `text` into `t`, whose
+ * lock the caller holds. Existing keys win (they were measured or
+ * imported first) and invalid entries are skipped. Returns the number
+ * merged, or -1 when `text` has no "entries" list.
+ */
+int
+mergeJson(Table &t, const std::string &text)
+{
+    size_t from = text.find("\"entries\"");
+    if (from == std::string::npos)
+        return -1;
+    int merged = 0;
+    while (true) {
+        const size_t open = text.find('{', from);
+        if (open == std::string::npos)
+            break;
+        const size_t close = text.find('}', open);
+        if (close == std::string::npos)
+            break;
+        from = close + 1;
+        std::string prec;
+        double edv, nqv, strip, pf, secs;
+        if (!scanString(text, "precision", open, close, prec)
+            || !scanNumber(text, "ed", open, close, edv)
+            || !scanNumber(text, "nq", open, close, nqv)
+            || !scanNumber(text, "strip_rows", open, close, strip)
+            || !scanNumber(text, "prefetch_stride", open, close, pf)
+            || !importedPlanValid(strip, pf))
+            continue;
+        Stored st;
+        st.plan.stripRows = static_cast<size_t>(strip);
+        st.plan.prefetchStride = static_cast<size_t>(pf);
+        if (scanNumber(text, "seconds", open, close, secs))
+            st.seconds = secs;
+        st.origin = PlanOrigin::Imported;
+        const Key key{prec, static_cast<size_t>(edv),
+                      static_cast<size_t>(nqv)};
+        merged += t.entries.emplace(key, st).second;
+    }
+    return merged;
+}
+
+/** A whole file's contents; false if it cannot be opened. */
+bool
+readFile(const std::string &path, std::string &out)
+{
+    std::ifstream in(path);
+    if (!in)
+        return false;
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    out = buf.str();
+    return true;
+}
+
 } // namespace
 
 const char *
@@ -369,48 +425,10 @@ KernelTuner::plan(const char *precision, size_t ed, size_t nq)
         // Seed once per process from MNNFAST_TUNER_CACHE if set; a
         // missing or malformed file just means we measure.
         t.importedFromEnv = true;
+        std::string text;
         if (const char *path = std::getenv("MNNFAST_TUNER_CACHE");
-            path && path[0] != '\0') {
-            std::ifstream in(path);
-            if (in) {
-                std::ostringstream buf;
-                buf << in.rdbuf();
-                const std::string text = buf.str();
-                // Inline merge (importJson would re-lock).
-                size_t from = 0;
-                std::string prec;
-                double edv, nqv, strip, pf, secs;
-                while (true) {
-                    const size_t open = text.find('{', from);
-                    if (open == std::string::npos)
-                        break;
-                    const size_t close = text.find('}', open);
-                    if (close == std::string::npos)
-                        break;
-                    from = close + 1;
-                    if (!scanString(text, "precision", open, close,
-                                    prec)
-                        || !scanNumber(text, "ed", open, close, edv)
-                        || !scanNumber(text, "nq", open, close, nqv)
-                        || !scanNumber(text, "strip_rows", open, close,
-                                       strip)
-                        || !scanNumber(text, "prefetch_stride", open,
-                                       close, pf)
-                        || !importedPlanValid(strip, pf))
-                        continue;
-                    Stored st;
-                    st.plan.stripRows = static_cast<size_t>(strip);
-                    st.plan.prefetchStride = static_cast<size_t>(pf);
-                    if (scanNumber(text, "seconds", open, close, secs))
-                        st.seconds = secs;
-                    st.origin = PlanOrigin::Imported;
-                    t.entries.emplace(
-                        Key{prec, static_cast<size_t>(edv),
-                            static_cast<size_t>(nqv)},
-                        st);
-                }
-            }
-        }
+            path && path[0] != '\0' && readFile(path, text))
+            mergeJson(t, text);
     }
     auto it = t.entries.find(key);
     if (it == t.entries.end()) {
@@ -486,55 +504,16 @@ KernelTuner::exportJsonFile(const std::string &path) const
 int
 KernelTuner::importJson(const std::string &text)
 {
-    const size_t list = text.find("\"entries\"");
-    if (list == std::string::npos)
-        return -1;
     Table &t = table();
     std::lock_guard<std::mutex> lock(t.mu);
-    int merged = 0;
-    size_t from = list;
-    while (true) {
-        const size_t open = text.find('{', from);
-        if (open == std::string::npos)
-            break;
-        const size_t close = text.find('}', open);
-        if (close == std::string::npos)
-            break;
-        from = close + 1;
-        std::string prec;
-        double edv, nqv, strip, pf, secs;
-        if (!scanString(text, "precision", open, close, prec)
-            || !scanNumber(text, "ed", open, close, edv)
-            || !scanNumber(text, "nq", open, close, nqv)
-            || !scanNumber(text, "strip_rows", open, close, strip)
-            || !scanNumber(text, "prefetch_stride", open, close, pf)
-            || !importedPlanValid(strip, pf))
-            continue;
-        const Key key{prec, static_cast<size_t>(edv),
-                      static_cast<size_t>(nqv)};
-        if (t.entries.count(key))
-            continue; // existing plans win (measured locally)
-        Stored st;
-        st.plan.stripRows = static_cast<size_t>(strip);
-        st.plan.prefetchStride = static_cast<size_t>(pf);
-        if (scanNumber(text, "seconds", open, close, secs))
-            st.seconds = secs;
-        st.origin = PlanOrigin::Imported;
-        t.entries.emplace(key, st);
-        ++merged;
-    }
-    return merged;
+    return mergeJson(t, text);
 }
 
 int
 KernelTuner::importJsonFile(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        return -1;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return importJson(buf.str());
+    std::string text;
+    return readFile(path, text) ? importJson(text) : -1;
 }
 
 void

@@ -151,21 +151,6 @@ TEST_P(GemvTest, MatchesNaive)
     }
 }
 
-TEST_P(GemvTest, TransposedMatchesNaive)
-{
-    const auto [rows, cols] = GetParam();
-    const auto a = randomVec(rows * cols, 13);
-    const auto x = randomVec(rows, 14);
-    std::vector<float> y(cols, -9.f);
-    gemvT(a.data(), rows, cols, x.data(), y.data());
-    for (size_t c = 0; c < cols; ++c) {
-        double ref = 0.0;
-        for (size_t r = 0; r < rows; ++r)
-            ref += double(a[r * cols + c]) * x[r];
-        ASSERT_NEAR(y[c], ref, 1e-3) << "col " << c;
-    }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Dims, GemvTest,
     ::testing::Values(GemvDims{1, 1}, GemvDims{3, 5}, GemvDims{5, 3},

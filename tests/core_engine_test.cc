@@ -476,64 +476,6 @@ TEST(ColumnEngine, BreakdownCoversAllPhases)
     EXPECT_EQ(engine.breakdown().total(), 0.0);
 }
 
-TEST(ColumnEngine, DynamicAndStaticSchedulesAreBitIdentical)
-{
-    // The group decomposition (and thus every partial accumulation
-    // and the merge order) is a pure function of the config, so the
-    // scheduling policy must not change a single output bit.
-    const size_t ns = 2048, ed = 24, nq = 3;
-    const KnowledgeBase kb = randomKb(ns, ed, 61);
-    const auto u = randomBatch(nq, ed, 62);
-
-    for (bool online : {false, true}) {
-        EngineConfig cfg;
-        cfg.chunkSize = 100;
-        cfg.threads = 3;
-        cfg.scheduleGroups = 8;
-        cfg.streaming = true;
-        cfg.skipThreshold = 0.05f;
-        cfg.onlineNormalize = online;
-
-        cfg.schedule = Schedule::Dynamic;
-        std::vector<float> o_dyn(nq * ed);
-        ColumnEngine(kb, cfg).inferBatch(u.data(), nq, o_dyn.data());
-
-        cfg.schedule = Schedule::Static;
-        std::vector<float> o_sta(nq * ed);
-        ColumnEngine(kb, cfg).inferBatch(u.data(), nq, o_sta.data());
-
-        for (size_t i = 0; i < o_dyn.size(); ++i)
-            ASSERT_EQ(o_dyn[i], o_sta[i])
-                << "online=" << online << " index " << i;
-    }
-}
-
-TEST(ColumnEngine, ScheduleCountersMatchAcrossPolicies)
-{
-    const size_t ns = 3000, ed = 16, nq = 2;
-    const KnowledgeBase kb = randomKb(ns, ed, 63);
-    const auto u = randomBatch(nq, ed, 64);
-    std::vector<float> o(nq * ed);
-
-    uint64_t kept[2], skipped[2];
-    const Schedule policies[] = {Schedule::Dynamic, Schedule::Static};
-    for (int i = 0; i < 2; ++i) {
-        EngineConfig cfg;
-        cfg.chunkSize = 128;
-        cfg.threads = 2;
-        cfg.scheduleGroups = 6;
-        cfg.skipThreshold = 0.1f;
-        cfg.schedule = policies[i];
-        ColumnEngine engine(kb, cfg);
-        engine.inferBatch(u.data(), nq, o.data());
-        kept[i] = engine.counters().value("rows_kept");
-        skipped[i] = engine.counters().value("rows_skipped");
-    }
-    EXPECT_EQ(kept[0], kept[1]);
-    EXPECT_EQ(skipped[0], skipped[1]);
-    EXPECT_EQ(kept[0] + skipped[0], uint64_t(nq) * ns);
-}
-
 TEST(ColumnEngine, ObserverSeesEveryChunkOnce)
 {
     const size_t ns = 1050, ed = 8, nq = 1;
@@ -577,7 +519,6 @@ TEST(ColumnEngine, DynamicSchedulingBalancesStalledWorkers)
     cfg.threads = kWorkers;
     cfg.scheduleGroups = kChunks; // one chunk per group: max slack
     cfg.skipThreshold = 0.1f;
-    cfg.schedule = Schedule::Dynamic;
     std::mutex mu;
     std::condition_variable all_observed;
     size_t observed = 0;
@@ -610,7 +551,7 @@ TEST(ColumnEngine, BatchSizeSweepMatchesBaseline)
     // every batch size that exercises a different register-tile
     // shape: odd/even nq, nq crossing the 2-query tile, and nq
     // crossing the kWsumQueryTile dispatch split (16), under every
-    // schedule x zero-skip x online-normalize combination.
+    // zero-skip x online-normalize combination.
     const size_t ns = 600, ed = 32, max_nq = 17;
     const KnowledgeBase kb = randomKb(ns, ed, 81);
     const auto u = randomBatch(max_nq, ed, 82);
@@ -621,28 +562,24 @@ TEST(ColumnEngine, BatchSizeSweepMatchesBaseline)
         std::vector<float> o_base(nq * ed);
         baseline.inferBatch(u.data(), nq, o_base.data());
 
-        for (Schedule sched : {Schedule::Static, Schedule::Dynamic}) {
-            for (bool zskip : {false, true}) {
-                for (bool online : {false, true}) {
-                    EngineConfig cfg;
-                    cfg.chunkSize = 64;
-                    cfg.threads = 2;
-                    cfg.schedule = sched;
-                    cfg.skipThreshold = zskip ? 1e-5f : 0.f;
-                    cfg.onlineNormalize = online;
-                    ColumnEngine column(kb, cfg);
-                    std::vector<float> o_col(nq * ed);
-                    column.inferBatch(u.data(), nq, o_col.data());
-                    // Zero-skipping drops at most ns * th of the
-                    // probability mass; exact paths agree to float
-                    // accumulation tolerance.
-                    const double tol = zskip ? 5e-2 : 1e-4;
-                    for (size_t i = 0; i < o_col.size(); ++i)
-                        ASSERT_NEAR(o_base[i], o_col[i], tol)
-                            << "nq=" << nq << " sched=" << int(sched)
-                            << " zskip=" << zskip
-                            << " online=" << online << " index " << i;
-                }
+        for (bool zskip : {false, true}) {
+            for (bool online : {false, true}) {
+                EngineConfig cfg;
+                cfg.chunkSize = 64;
+                cfg.threads = 2;
+                cfg.skipThreshold = zskip ? 1e-5f : 0.f;
+                cfg.onlineNormalize = online;
+                ColumnEngine column(kb, cfg);
+                std::vector<float> o_col(nq * ed);
+                column.inferBatch(u.data(), nq, o_col.data());
+                // Zero-skipping drops at most ns * th of the
+                // probability mass; exact paths agree to float
+                // accumulation tolerance.
+                const double tol = zskip ? 5e-2 : 1e-4;
+                for (size_t i = 0; i < o_col.size(); ++i)
+                    ASSERT_NEAR(o_base[i], o_col[i], tol)
+                        << "nq=" << nq << " zskip=" << zskip
+                        << " online=" << online << " index " << i;
             }
         }
     }
@@ -1102,7 +1039,7 @@ TEST(I8Engines, ChunkSizeCrossingQuantGroupsIsBitInvariant)
 TEST(TunedPlans, EngineOutputBitIdenticalAcrossPlanVariants)
 {
     // Sweep nq across register-tile and dispatch-split boundaries
-    // (1..17), both schedules, and zero-skipping, comparing every
+    // (1..17) and zero-skipping, comparing every
     // plan variant against the tuned default — per storage precision.
     const size_t ns = 600, ed = 32, max_nq = 17;
     const auto u = randomBatch(max_nq, ed, 61);
@@ -1120,31 +1057,27 @@ TEST(TunedPlans, EngineOutputBitIdenticalAcrossPlanVariants)
         for (size_t nq : {size_t(1), size_t(2), size_t(3), size_t(7),
                           size_t(8), size_t(15), size_t(16),
                           size_t(17)}) {
-            for (Schedule sched : {Schedule::Static, Schedule::Dynamic}) {
-                for (bool zskip : {false, true}) {
-                    EngineConfig cfg;
-                    cfg.chunkSize = 64;
-                    cfg.threads = 2;
-                    cfg.schedule = sched;
-                    cfg.skipThreshold = zskip ? 1e-4f : 0.f;
-                    std::vector<float> ref(nq * ed);
-                    ColumnEngine(kb, cfg).inferBatch(u.data(), nq,
-                                                     ref.data());
-                    for (const Variant &v : variants) {
-                        EngineConfig vcfg = cfg;
-                        vcfg.stripRows = v.strip;
-                        vcfg.prefetchStride = v.prefetch;
-                        std::vector<float> o(nq * ed);
-                        ColumnEngine(kb, vcfg).inferBatch(u.data(), nq,
-                                                          o.data());
-                        for (size_t i = 0; i < o.size(); ++i)
-                            ASSERT_EQ(o[i], ref[i])
-                                << precisionName(prec) << " nq=" << nq
-                                << " sched=" << int(sched)
-                                << " zskip=" << zskip
-                                << " strip=" << v.strip
-                                << " pf=" << v.prefetch << " i=" << i;
-                    }
+            for (bool zskip : {false, true}) {
+                EngineConfig cfg;
+                cfg.chunkSize = 64;
+                cfg.threads = 2;
+                cfg.skipThreshold = zskip ? 1e-4f : 0.f;
+                std::vector<float> ref(nq * ed);
+                ColumnEngine(kb, cfg).inferBatch(u.data(), nq,
+                                                 ref.data());
+                for (const Variant &v : variants) {
+                    EngineConfig vcfg = cfg;
+                    vcfg.stripRows = v.strip;
+                    vcfg.prefetchStride = v.prefetch;
+                    std::vector<float> o(nq * ed);
+                    ColumnEngine(kb, vcfg).inferBatch(u.data(), nq,
+                                                      o.data());
+                    for (size_t i = 0; i < o.size(); ++i)
+                        ASSERT_EQ(o[i], ref[i])
+                            << precisionName(prec) << " nq=" << nq
+                            << " zskip=" << zskip
+                            << " strip=" << v.strip
+                            << " pf=" << v.prefetch << " i=" << i;
                 }
             }
         }

@@ -180,22 +180,6 @@ TEST(ChunkSummaryIndex, EnvelopeContainsEveryStoredRow)
     }
 }
 
-TEST(ChunkSummaryIndex, CentroidIsTheChunkMean)
-{
-    const size_t ns = 64, ed = 8, chunk = 16;
-    const KnowledgeBase kb = randomKb(ns, ed, 6);
-    const ChunkSummaryIndex idx(kb, chunk);
-    for (size_t c = 0; c < idx.chunks(); ++c) {
-        for (size_t e = 0; e < ed; ++e) {
-            double mean = 0.0;
-            for (size_t i = c * chunk; i < (c + 1) * chunk; ++i)
-                mean += kb.minRow(i)[e];
-            mean /= chunk;
-            EXPECT_NEAR(idx.centroid(c)[e], mean, 1e-5);
-        }
-    }
-}
-
 TEST(ChunkSummaryIndex, ViewIndexEqualsParentSlice)
 {
     // An index over a chunk-aligned view must equal the matching
@@ -235,7 +219,7 @@ TEST(RoutedEngine, KeepAllSelectionsAreBitIdenticalToUnrouted)
 {
     // k >= chunk count and threshold 0 must reproduce the unrouted
     // engine bit-for-bit, across precision x threads x zskip x
-    // schedule x online-normalize. This is the guarantee that makes
+    // online-normalize. This is the guarantee that makes
     // routing a pure perf knob at the exact operating point.
     const size_t ns = 640, ed = 24, nq = 5, chunk = 64;
     const std::vector<float> u = randomBatch(nq, ed, 21);
@@ -252,8 +236,6 @@ TEST(RoutedEngine, KeepAllSelectionsAreBitIdenticalToUnrouted)
                 cfg.skipThreshold = zskip;
                 cfg.streaming = true;
                 cfg.onlineNormalize = (threads != 0);
-                cfg.schedule = threads ? Schedule::Static
-                                       : Schedule::Dynamic;
                 ColumnEngine plain(kb, cfg);
                 plain.inferBatch(u.data(), nq, ref.data());
 

@@ -625,6 +625,10 @@ TEST(KernelTuner, CorruptedEnvCacheFallsBackToMeasuring)
     // Entry missing required fields.
     planWithCache("{\"backend\": \"x\", \"entries\": ["
                   "{\"precision\": \"bf16\", \"ed\": 64}]}");
+    // A valid entry outside an "entries" list: importJson rejects the
+    // text, so the seeding does too.
+    planWithCache("{\"precision\": \"bf16\", \"ed\": 64, \"nq\": 4, "
+                  "\"strip_rows\": 8, \"prefetch_stride\": 0}");
 
     std::remove(path);
     tuner.clear();

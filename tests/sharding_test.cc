@@ -222,7 +222,6 @@ TEST(ShardedEngine, GatherOrderIsIndependentOfCompletionOrder)
 
     core::EngineConfig pool_cfg = inline_cfg;
     pool_cfg.threads = 4;
-    pool_cfg.schedule = core::Schedule::Dynamic;
     core::ShardedEngine pooled(skb, pool_cfg);
     std::vector<float> o_pooled(nq * ed);
     for (int run = 0; run < 5; ++run) {
